@@ -989,7 +989,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 print(
                     f"index store: {sweep.fresh_builds()} cell(s) built "
                     f"fresh, {sweep.reused_builds()} reused from "
-                    f"{args.index_store}{restored}"
+                    f"{args.index_store}{restored}, "
+                    f"{sweep.duplicate_builds()} duplicate build(s)"
                 )
 
             output = []

@@ -28,6 +28,7 @@ from repro.core.scheduling import (
     estimate_cost,
     longest_first,
     merge_batches,
+    propagate_build_failure,
     run_batch,
     split_cell,
 )
@@ -96,6 +97,14 @@ class SweepResult:
     def fresh_builds(self) -> int:
         """Cells that built (or failed to build) an index themselves."""
         return len(self.cells) - self.reused_builds() - self.resumed_cells()
+
+    def duplicate_builds(self) -> int:
+        """Builds beyond the first that a batched cell's batches ran
+        between them — 0 when every index was built (at most) once."""
+        return sum(
+            max(0, cell.provenance.get("fresh_batches", 0) - 1)
+            for cell in self.cells.values()
+        )
 
     # ------------------------------------------------------------------
     # figure projections: method -> [(x, value-or-None)]
@@ -573,8 +582,9 @@ def _dispatch(
       worker crashes mid-sweep.
     * ``batch_queries`` — cells split into per-query batches
       (:func:`~repro.core.scheduling.split_cell`) so one slow cell's
-      workload spreads across workers; merged cells are byte-identical
-      (canonicalized) to unbatched ones.
+      workload spreads across workers: batch 0 builds the index, the
+      others are dispatched when it has finished; merged cells are
+      byte-identical (canonicalized) to unbatched ones.
     * parallel submissions are always longest-first
       (:func:`~repro.core.scheduling.longest_first`) to shrink the tail.
       ``history`` (a :class:`~repro.core.scheduling.CostHistory`, e.g.
@@ -703,6 +713,11 @@ def _run_batched(
 ) -> None:
     """Split cells into query batches, run longest-first, merge in order.
 
+    Each cell's batch 0 carries the build and is submitted longest-first;
+    its other batches are submitted when it has finished (or, after a
+    failed build, take its status without running), so no two workers
+    ever build one cell's index side by side.
+
     *arenas* enables per-batch arena eviction: a dataset's segment is
     released once the last batch referencing it completes."""
     fingerprint_of: dict[int, int] = {}
@@ -737,7 +752,15 @@ def _run_batched(
 
     costs = [estimate_batch_cost(batch, history) for batch in batches]
     order = longest_first(costs) if runner.jobs > 1 else None
-    outcomes = runner.map(run_batch, batches, progress=hook, order=order)
+    after = {i: indices[0] for _, indices in groups for i in indices[1:]}
+    outcomes = runner.map(
+        run_batch,
+        batches,
+        progress=hook,
+        order=order,
+        after=after,
+        resolve=propagate_build_failure,
+    )
     for task, indices in groups:
         result.cells[task.key] = merge_batches(
             [batches[i] for i in indices], [outcomes[i] for i in indices]

@@ -29,7 +29,8 @@ import multiprocessing
 import os
 import threading
 import time
-from collections.abc import Callable, Sequence
+from collections import deque
+from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -158,6 +159,8 @@ class ParallelRunner:
         items: Sequence,
         progress: Callable[[int, int, object], None] | None = None,
         order: Sequence[int] | None = None,
+        after: Mapping[int, int] | None = None,
+        resolve: Callable[[object, object], object] | None = None,
     ) -> list:
         """Apply a picklable *func* to every item, preserving order.
 
@@ -170,39 +173,86 @@ class ParallelRunner:
         the adaptive scheduler passes a longest-first permutation here.
         Results are *returned* in ``items`` order regardless, so
         scheduling never changes what callers observe.
+
+        *after* maps an item's index to the index of its one
+        prerequisite.  Items without a prerequisite are submitted in
+        *order*; a dependent is submitted the moment its prerequisite
+        has finished (siblings in *order*), never before — there is no
+        barrier between the two groups and no extra task.  Prerequisites
+        have none themselves.  With ``jobs <= 1`` the same queue is run
+        in-process, so the execution order is the submission order.
+
+        *resolve*, called in the parent as ``resolve(item, result)`` with
+        a dependent and its prerequisite's result, may return a stand-in
+        result for the dependent, which is then recorded (and reported
+        to *progress*) without ever being dispatched; ``None`` means
+        "run it".  A prerequisite that *raises* runs none of its
+        dependents, and its exception leaves this call.
         """
         total = len(items)
         if order is None:
             order = range(total)
         elif sorted(order) != list(range(total)):
             raise ValueError("order must be a permutation of range(len(items))")
+        after = after or {}
+        for index, prerequisite in after.items():
+            if not (0 <= index < total and 0 <= prerequisite < total):
+                raise ValueError("after must map item indices to item indices")
+            if prerequisite in after:
+                raise ValueError("a prerequisite cannot have a prerequisite")
+        dependents: dict[int, list[int]] = {}
+        for index in order:
+            if index in after:
+                dependents.setdefault(after[index], []).append(index)
+        ready = deque(index for index in order if index not in after)
+        results: list = [None] * total
+        done_count = 0
+
+        def finish(index: int, result) -> None:
+            nonlocal done_count
+            results[index] = result
+            done_count += 1
+            if progress is not None:
+                progress(done_count, total, items[index])
+            for dependent in dependents.pop(index, ()):
+                stand_in = (
+                    None if resolve is None else resolve(items[dependent], result)
+                )
+                if stand_in is None:
+                    ready.append(dependent)
+                else:
+                    finish(dependent, stand_in)
+
         if self.jobs <= 1:
-            results: list = [None] * total
-            for done, index in enumerate(order, start=1):
-                results[index] = func(items[index])
-                if progress is not None:
-                    progress(done, total, items[index])
+            while ready:
+                index = ready.popleft()
+                finish(index, func(items[index]))
             return results
 
         owns_pool = self._executor is None
         executor = self._executor or self._make_executor()
         try:
-            futures: list[Future | None] = [None] * total
-            for index in order:
-                futures[index] = executor.submit(func, items[index])
-            index_of = {future: i for i, future in enumerate(futures)}
-            pending = set(futures)
-            done_count = 0
-            while pending:
-                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
+            running: dict[Future, int] = {}
+            errors: dict[int, BaseException] = {}
+            while ready or running:
+                while ready:
+                    index = ready.popleft()
+                    running[executor.submit(func, items[index])] = index
+                finished, _ = wait(running, return_when=FIRST_COMPLETED)
                 for future in finished:
-                    done_count += 1
-                    if progress is not None:
-                        progress(done_count, total, items[index_of[future]])
-            # Collect in submission order; a worker-side exception (a
-            # programming error — method failures are statuses inside
-            # the cell) re-raises here exactly as it would sequentially.
-            return [future.result() for future in futures]
+                    index = running.pop(future)
+                    error = future.exception()
+                    if error is None:
+                        finish(index, future.result())
+                    else:
+                        errors[index] = error
+            # Every submitted task has finished; a worker-side exception
+            # (a programming error — method failures are statuses inside
+            # the cell) re-raises here, the first in item order, exactly
+            # as it would sequentially.
+            if errors:
+                raise errors[min(errors)]
+            return results
         finally:
             if owns_pool:
                 executor.shutdown()

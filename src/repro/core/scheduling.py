@@ -13,13 +13,16 @@ in two independent ways:
   invisible in the output.
 * **Per-query batching** — one cell's query workload splits into
   :class:`QueryBatch` subtasks (:func:`split_cell`), each carrying a
-  contiguous slice of every query size.  Workers build the cell's index
-  (or fetch it from the process's content-addressed
-  :class:`~repro.indexes.store.IndexStore`) and answer just their slice;
-  :func:`merge_batches` reassembles the per-query records **in original
-  query order** and aggregates them with arithmetic mirrored from the
-  sequential path — the merged cell canonicalizes byte-identically to
-  an unbatched run.
+  contiguous slice of every query size.  The build is a prerequisite,
+  not a race: batch 0 carries it (writing through to the
+  content-addressed :class:`~repro.indexes.store.IndexStore` when one
+  is configured), and the cell's other batches are dispatched once it
+  has finished, finding the index in the process memo or the store —
+  or not dispatched at all when the build failed
+  (:func:`propagate_build_failure`).  :func:`merge_batches` reassembles
+  the per-query records **in original query order** and aggregates them
+  with arithmetic mirrored from the sequential path — the merged cell
+  canonicalizes byte-identically to an unbatched run.
 
 Semantics note: the paper's per-workload query budget is enforced per
 *batch* in batched mode (wall-clock cannot be shared across processes).
@@ -62,6 +65,7 @@ __all__ = [
     "estimate_cost",
     "longest_first",
     "merge_batches",
+    "propagate_build_failure",
     "run_batch",
     "split_cell",
 ]
@@ -121,7 +125,9 @@ def estimate_cost(
 def estimate_batch_cost(
     batch: "QueryBatch", history: "CostHistory | None" = None
 ) -> float:
-    """Cost of one batch: its build share plus its slice of the queries.
+    """Cost of one batch: its slice of the queries plus, for batch 0,
+    which alone carries it, the build — a cell's batch costs sum to its
+    :func:`estimate_cost`.
 
     *history* calibrates the batch's unit count exactly as
     :func:`estimate_cost` does for whole cells; a recorded cell's
@@ -129,7 +135,8 @@ def estimate_batch_cost(
     batch's share of the cell's work.
     """
     work = float(sum(part.size * len(part.queries) for part in batch.parts))
-    units = _weight_of(batch.dataset) * (1.0 + work)
+    build = 1.0 if batch.batch_index == 0 else 0.0
+    units = _weight_of(batch.dataset) * (build + work)
     if history is not None:
         return history.calibrate(batch.key, batch.method, units)
     return units
@@ -258,13 +265,14 @@ class BatchPart:
 class QueryBatch:
     """One worker-sized share of a cell's query workload.
 
-    Every batch of a cell carries enough to (re)build the cell's index
-    — workers deduplicate actual builds through the process's
-    :class:`~repro.indexes.store.IndexStore` (content-addressed by
-    ``(method, index_params, dataset_key)``), so a cell's index is
-    built at most once per worker, at most ``min(jobs, batches)`` times
-    per cell overall, and — with a store directory — at most once per
-    *store*, across cells, sweeps, and invocations.
+    Batch 0 builds the cell's index; the dispatcher holds the other
+    batches back until it has finished.  Every batch still carries
+    enough to (re)build it: with a store directory the dependents fetch
+    the artifact (content-addressed by ``(method, index_params,
+    dataset_key)``), so the index is built once per *store* — across
+    batches, cells, sweeps, and invocations; without one a dependent
+    landing in another worker rebuilds it there, at most once per
+    worker.
     """
 
     key: tuple
@@ -316,6 +324,9 @@ class BatchOutcome:
     #: Build provenance (artifact address, reused flag) — execution
     #: metadata forwarded onto the merged cell, never canonicalized.
     provenance: dict = field(default_factory=dict)
+    #: This batch ran the build itself instead of finding the index in
+    #: the process memo or the store.
+    built: bool = False
 
 
 def split_cell(
@@ -401,8 +412,9 @@ def _batch_dataset(batch: QueryBatch) -> GraphDataset:
     return as_core_dataset(batch.dataset)
 
 
-def _built_index_for(batch: QueryBatch) -> tuple:
-    """``("ok", index, report, provenance)`` or ``(status, error)``.
+def _built_index_for(batch: QueryBatch) -> tuple[tuple, bool]:
+    """``("ok", index, report, provenance)`` or ``(status, error)``,
+    and whether this call ran the build itself.
 
     Resolution order: the explicit artifact store (memory LRU, then
     disk) when one is configured and reuse is on — a hit materializes a
@@ -442,7 +454,7 @@ def _built_index_for(batch: QueryBatch) -> tuple:
     # and the building run's batches all report consistent provenance.
     entry = _BUILD_MEMO.get(memo_key)
     if entry is not None:
-        return entry
+        return entry, False
     if store is not None and batch.reuse_indexes:
         artifact = store.get(batch.method, params, batch.dataset_key)
         if artifact is not None:
@@ -463,7 +475,7 @@ def _built_index_for(batch: QueryBatch) -> tuple:
             # Memoize the hit like a fresh build: the cell's remaining
             # batches must not repeat the payload import per batch.
             _BUILD_MEMO[memo_key] = entry
-            return entry
+            return entry, False
     dataset = _batch_dataset(batch)
     index = probe
     budget = (
@@ -499,7 +511,7 @@ def _built_index_for(batch: QueryBatch) -> tuple:
                 provenance = {"reused": False, "artifact": address}
         entry = (STATUS_OK, index, report, provenance)
     _BUILD_MEMO[memo_key] = entry
-    return entry
+    return entry, True
 
 
 def run_batch(batch: QueryBatch) -> BatchOutcome:
@@ -509,7 +521,7 @@ def run_batch(batch: QueryBatch) -> BatchOutcome:
     failures become statuses, never exceptions; programming errors
     (unknown method) propagate.
     """
-    entry = _built_index_for(batch)
+    entry, built = _built_index_for(batch)
     if entry[0] != STATUS_OK:
         return BatchOutcome(
             key=batch.key,
@@ -561,6 +573,25 @@ def run_batch(batch: QueryBatch) -> BatchOutcome:
         build_details=dict(report.details),
         parts=tuple(parts),
         provenance=dict(provenance),
+        built=built,
+    )
+
+
+def propagate_build_failure(
+    batch: QueryBatch, lead: BatchOutcome
+) -> BatchOutcome | None:
+    """The outcome of *batch* when its cell's build, run by batch 0 with
+    outcome *lead*, failed — ``None`` when it succeeded and *batch* must
+    run.  The dispatcher's ``resolve`` hook: a timed-out build costs
+    one budget, not one per batch, and every batch reports its status.
+    """
+    if lead.build_status == STATUS_OK:
+        return None
+    return BatchOutcome(
+        key=batch.key,
+        batch_index=batch.batch_index,
+        build_status=lead.build_status,
+        build_error=lead.build_error,
     )
 
 
@@ -577,21 +608,21 @@ def merge_batches(
     *batches* and *outcomes* are aligned pairs in any order (they are
     sorted internally by batch index / part start), so the merged cell
     is a pure function of the outcome *set* — completion order cannot
-    leak in.  Build fields come from the lowest-index batch; a size's
+    leak in.  Build fields and provenance come from batch 0, which ran
+    the build (or fetched it) before any other batch started; a size's
     status is the status of its earliest non-OK part (the sequential
     "first failure aborts the workload" semantics), otherwise its
     records concatenate in query order and aggregate exactly as the
-    sequential path would.
+    sequential path would.  ``provenance["fresh_batches"]`` counts the
+    batches that ran a build: more than one means duplicated work.
     """
     if not batches:
         raise ValueError("merge_batches needs at least one batch")
     pairs = sorted(zip(batches, outcomes), key=lambda pair: pair[1].batch_index)
     lead_batch, lead = pairs[0]
-    # Builds are deterministic so batches normally agree, but a budget
-    # that sits right at the build time can succeed in one worker and
-    # time out in another.  Any build failure fails the whole cell —
-    # the sequential all-or-nothing semantics — rather than silently
-    # merging the successful batches' partial query records.
+    # Any build failure fails the whole cell — the sequential
+    # all-or-nothing semantics: batch 0's, carried by every batch, or
+    # that of a storeless dependent's private rebuild in another worker.
     failed_build = next(
         (o for _, o in pairs if o.build_status != STATUS_OK), None
     )
@@ -601,18 +632,6 @@ def merge_batches(
             build_status=failed_build.build_status,
             build_error=failed_build.build_error,
         )
-    # Provenance: a cell is "reused" only if NO batch built it fresh.
-    # With jobs > 1 the build race can leave batch 0 as a store hit
-    # while a sibling batch did the actual build — the fresh batch's
-    # provenance must win or a cold run would masquerade as warm.
-    fresh = next(
-        (
-            o.provenance
-            for _, o in pairs
-            if o.provenance.get("reused") is False
-        ),
-        None,
-    )
     cell = MethodCell(
         method=lead_batch.method,
         build_status=lead.build_status,
@@ -620,7 +639,10 @@ def merge_batches(
         index_bytes=lead.index_bytes,
         build_details=dict(lead.build_details),
         build_error=lead.build_error,
-        provenance=dict(lead.provenance if fresh is None else fresh),
+        provenance={
+            **lead.provenance,
+            "fresh_batches": sum(o.built for _, o in pairs),
+        },
     )
     parts_by_size: dict[int, list[PartOutcome]] = {}
     for _, outcome in pairs:

@@ -381,7 +381,7 @@ class CSRGraph:
         vectorized scatter and amortized across every query verified
         on this graph.
         """
-        cached = getattr(self, "_adjacency_bits", None)
+        cached = self._adjacency_bits
         if cached is None:
             words = (self._order + 63) // 64 if self._order else 0
             matrix = np.zeros((self._order, max(words, 1)), dtype=np.uint64)

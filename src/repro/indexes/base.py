@@ -44,11 +44,14 @@ are unchanged.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.graphs.dataset import DatasetDelta, GraphDataset, apply_delta
 from repro.graphs.graph import Graph
 from repro.isomorphism.decompose import (
+    STwig,
+    decompose_query,
     embedding_root,
     initial_domains,
     prune_domains,
@@ -348,7 +351,10 @@ class GraphIndex(ABC):
     # ------------------------------------------------------------------
 
     def filter_vertices(
-        self, query: Graph, budget: Budget | None = None
+        self,
+        query: Graph,
+        budget: Budget | None = None,
+        stwigs: Sequence[STwig] | None = None,
     ) -> list[set[int]]:
         """Candidate domains for *query* over the regime's one graph.
 
@@ -358,12 +364,13 @@ class GraphIndex(ABC):
         no-false-negatives invariant).  The method-specific narrowing
         (:meth:`_filter_vertices`) runs first, then the generic
         STwig-cover pruning tightens every method's domains the same
-        way.
+        way.  *stwigs* is the query's decomposition over the data
+        graph, for a caller that already has it.
         """
         self._require_built()
         data = self._single_graph()
         domains = self._filter_vertices(query, data, budget)
-        return prune_domains(query, data, domains)
+        return prune_domains(query, data, domains, stwigs)
 
     def _filter_vertices(
         self, query: Graph, data: Graph, budget: Budget | None
@@ -385,18 +392,21 @@ class GraphIndex(ABC):
         query: Graph,
         domains: list[set[int]],
         budget: Budget | None = None,
+        root: int | None = None,
     ) -> set[int]:
         """Data vertices hosting the query's anchor in some embedding.
 
         First-match semantics per root: each candidate of the anchor
-        vertex (the STwig decomposition's first root) is pinned and the
+        vertex (the STwig decomposition's first root; *root*, for a
+        caller that already decomposed the query) is pinned and the
         domain-constrained Ullmann search stops at its first embedding.
         """
         self._require_built()
         data = self._single_graph()
         if query.order == 0 or any(not domain for domain in domains):
             return set()
-        root = embedding_root(query, data)
+        if root is None:
+            root = embedding_root(query, data)
         answers = set()
         for vertex in sorted(domains[root]):
             if budget is not None:
@@ -472,15 +482,15 @@ class GraphIndex(ABC):
         self._require_built()
         data = self._single_graph()
         with Timer() as filter_timer:
-            domains = self.filter_vertices(query, budget)
+            # One decomposition serves the pruning, the anchor the
+            # verifier pins and the anchor whose domain is reported.
+            stwigs = decompose_query(query, data)
+            domains = self.filter_vertices(query, budget, stwigs)
+        root = stwigs[0].root if stwigs else None
         with Timer() as verify_timer:
-            answers = self.verify_embeddings(query, domains, budget)
-        if query.order:
-            candidates = frozenset(domains[embedding_root(query, data)])
-        else:
-            candidates = frozenset()
+            answers = self.verify_embeddings(query, domains, budget, root)
         return QueryResult(
-            candidates=candidates,
+            candidates=frozenset(() if root is None else domains[root]),
             answers=frozenset(answers),
             filter_seconds=filter_timer.elapsed,
             verify_seconds=verify_timer.elapsed,

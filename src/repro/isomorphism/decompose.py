@@ -28,6 +28,7 @@ sweeps rely on.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.graphs.graph import Graph
@@ -173,7 +174,10 @@ def _neighbor_counts_of(data, vertex: int) -> dict:
 
 
 def prune_domains(
-    query: Graph, data, domains: list[set[int]]
+    query: Graph,
+    data,
+    domains: list[set[int]],
+    stwigs: Sequence[STwig] | None = None,
 ) -> list[set[int]]:
     """Narrow *domains* with the STwig edge cover, superset-preserving.
 
@@ -181,10 +185,13 @@ def prune_domains(
     neighborhood carries at least as many vertices of each leaf label
     as the STwig demands — any embedding maps the leaves onto distinct
     same-labeled neighbors, so dropped candidates host no embedding.
-    Returns fresh sets; the input domains are not mutated.
+    Returns fresh sets; the input domains are not mutated.  *stwigs* is
+    ``decompose_query(query, data)`` for a caller that already has it.
     """
     pruned = [set(domain) for domain in domains]
-    for stwig in decompose_query(query, data):
+    if stwigs is None:
+        stwigs = decompose_query(query, data)
+    for stwig in stwigs:
         if not stwig.leaves:
             continue
         need: dict = {}

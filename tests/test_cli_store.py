@@ -130,6 +130,19 @@ class TestColdWarmSweep:
             load_sweep(rebuilt_json)
         )
 
+    def test_cold_engine_run_reports_no_duplicate_build(
+        self, tiny_profile, tmp_path, capsys
+    ):
+        """Batched cells build once — batch 0 — however many workers
+        answer their queries, and the store line says so."""
+        clear_index_cache()
+        run_sweep(
+            tmp_path, "cold", "--jobs", "2", "--shared-mem", "--batch-queries"
+        )
+        out = capsys.readouterr().out
+        assert "4 cell(s) built fresh, 0 reused" in out
+        assert ", 0 duplicate build(s)" in out
+
     def test_engine_modes_share_the_store(self, tiny_profile, tmp_path, capsys):
         """A warm engine run (pool + arena + batching) reuses the cold
         sequential run's artifacts and stays byte-identical."""

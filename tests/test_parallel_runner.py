@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import time
 
 import pytest
 
@@ -286,6 +287,103 @@ class TestCellMergeOrder:
         assert list(fifo) == list(reordered) == [t.key for t in tasks]
         for key in fifo:
             assert canonical_cell(fifo[key]) == canonical_cell(reordered[key])
+
+
+# ----------------------------------------------------------------------
+# dependency-aware submit: a prerequisite first, its dependents after
+# ----------------------------------------------------------------------
+
+
+def _tracked(item):
+    """Run one ``(directory, name, needs)`` item: report whether the
+    prerequisite *needs* had finished when this one started, then leave
+    a finished-marker of its own.  Prerequisites dawdle, so a dependent
+    submitted alongside one would start first on an idle worker."""
+    directory, name, needs = item
+    if name.startswith("bad"):
+        raise ValueError(f"injected failure in {name}")
+    started_after = needs is None or os.path.exists(os.path.join(directory, needs))
+    if needs is None:
+        time.sleep(0.05)
+    with open(os.path.join(directory, name), "w") as fh:
+        fh.write("done")
+    return name, started_after
+
+
+class TestDependentSubmit:
+    NAMES = ("a", "a1", "a2", "b", "b1", "c")
+    AFTER = {1: 0, 2: 0, 4: 3}
+
+    def items(self, directory, names=NAMES, after=AFTER):
+        return [
+            (str(directory), name, names[after[i]] if i in after else None)
+            for i, name in enumerate(names)
+        ]
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_dependents_start_after_their_prerequisite(self, tmp_path, jobs):
+        items = self.items(tmp_path)
+        results = ParallelRunner(jobs=jobs).map(
+            _tracked, items, order=[4, 2, 5, 3, 1, 0], after=self.AFTER
+        )
+        # Item order, whatever the submission and completion order.
+        assert [name for name, _ in results] == list(self.NAMES)
+        assert all(started_after for _, started_after in results)
+
+    def test_sequential_execution_is_the_submission_order(self, tmp_path):
+        """jobs=1 runs the very queue jobs>1 submits: prerequisites in
+        *order*, each one's dependents (siblings in *order*) joining the
+        back of the queue when it finishes."""
+        executed = []
+        ParallelRunner(jobs=1).map(
+            _tracked,
+            self.items(tmp_path),
+            progress=lambda done, total, item: executed.append((done, item[1])),
+            order=[4, 2, 5, 3, 1, 0],
+            after=self.AFTER,
+        )
+        assert executed == list(
+            enumerate(["c", "b", "a", "b1", "a2", "a1"], start=1)
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_prerequisite_exception_runs_no_dependent(self, tmp_path, jobs):
+        names = ("ok", "ok1", "bad", "bad1", "bad2")
+        items = self.items(tmp_path, names, {1: 0, 3: 2, 4: 2})
+        with pytest.raises(ValueError, match="injected failure in bad"):
+            ParallelRunner(jobs=jobs).map(
+                _tracked, items, after={1: 0, 3: 2, 4: 2}
+            )
+        # Sequentially the exception leaves at once (before "ok1" gets
+        # its turn); in a pool everything already submitted finishes.
+        ran = {path.name for path in tmp_path.iterdir()}
+        assert ran == ({"ok"} if jobs == 1 else {"ok", "ok1"})
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_resolve_stands_in_without_dispatch(self, tmp_path, jobs):
+        """A stand-in result is recorded and reported, never executed;
+        ``None`` from *resolve* lets the dependent run."""
+        seen = []
+        results = ParallelRunner(jobs=jobs).map(
+            _tracked,
+            self.items(tmp_path),
+            progress=lambda done, total, item: seen.append(item[1]),
+            after=self.AFTER,
+            resolve=lambda item, result: (
+                (item[1], "skipped") if result[0] == "a" else None
+            ),
+        )
+        assert results[1:3] == [("a1", "skipped"), ("a2", "skipped")]
+        assert results[4] == ("b1", True)
+        assert sorted(seen) == sorted(self.NAMES)
+        assert {path.name for path in tmp_path.iterdir()} == {"a", "b", "b1", "c"}
+
+    def test_after_is_validated(self):
+        runner = ParallelRunner(jobs=1)
+        with pytest.raises(ValueError, match="item indices"):
+            runner.map(abs, [1, 2], after={1: 2})
+        with pytest.raises(ValueError, match="cannot have a prerequisite"):
+            runner.map(abs, [1, 2, 3], after={1: 0, 2: 1})
 
 
 # ----------------------------------------------------------------------

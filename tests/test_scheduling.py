@@ -13,6 +13,7 @@ The scheduler's contract has two halves:
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -34,10 +35,11 @@ from repro.core.scheduling import (
     estimate_cost,
     longest_first,
     merge_batches,
+    propagate_build_failure,
     run_batch,
     split_cell,
 )
-from repro.core.serialization import canonical_cell
+from repro.core.serialization import canonical_cell, sweep_digest
 from repro.generators.graphgen import GraphGenConfig, generate_dataset
 from repro.generators.queries import generate_queries
 
@@ -107,10 +109,20 @@ class TestLongestFirst:
             assert estimate_cost(shared) == estimate_cost(task)
 
     def test_batch_costs_sum_below_cell_cost(self, dataset, workloads):
+        """Only batch 0 is charged the build, so a cell's batches cost
+        between them what the cell costs."""
         task = make_task(dataset, workloads)
         batches = split_cell(task, 3)
-        for batch in batches:
-            assert 0 < estimate_batch_cost(batch) < estimate_cost(task)
+        costs = [estimate_batch_cost(batch) for batch in batches]
+        assert all(0 < cost < estimate_cost(task) for cost in costs)
+        assert sum(costs) == pytest.approx(estimate_cost(task))
+        # The build charge is the whole difference between two batches
+        # with equal query slices.
+        build_only, = split_cell(make_task(dataset, {}), 3)
+        twin = replace(batches[0], batch_index=1)
+        assert costs[0] - estimate_batch_cost(twin) == pytest.approx(
+            estimate_batch_cost(build_only)
+        )
 
     def test_runner_respects_submission_order_sequentially(self):
         """With jobs=1 the order permutation IS the execution order,
@@ -250,8 +262,9 @@ class TestBatchMerge:
     def test_divergent_build_outcomes_fail_the_whole_cell(
         self, dataset, workloads
     ):
-        """A budget sitting right at the build time can succeed in one
-        worker and time out in another; the merge must not emit partial
+        """Without a store a dependent batch landing in another worker
+        rebuilds the index there, and that private rebuild can fail
+        where batch 0's succeeded; the merge must not emit partial
         query statistics."""
         from repro.core.scheduling import BatchOutcome, PartOutcome
         from repro.core.metrics import QueryRecord
@@ -303,8 +316,6 @@ class TestBatchMerge:
         clear_index_cache()
         from repro.indexes.store import shared_store
 
-        from dataclasses import replace
-
         task = replace(
             make_task(dataset, workloads), index_store_dir=str(tmp_path)
         )
@@ -327,35 +338,49 @@ class TestBatchMerge:
         )
         clear_index_cache()
 
-    def test_merge_prefers_fresh_build_provenance(self, dataset, workloads):
-        """With jobs > 1 the build race can leave batch 0 as a store
-        hit while a sibling actually built: the merged cell must report
-        fresh, or a cold run would masquerade as warm."""
-        from repro.core.scheduling import BatchOutcome
-
+    def test_merge_counts_the_batches_that_built(
+        self, dataset, workloads, tmp_path
+    ):
+        """``fresh_batches`` is the number of batches that ran a build:
+        one for a cold cell however its batches were served (memo or
+        store), none for a warm one, and batch 0's provenance — the
+        build the others waited for — is the cell's."""
         clear_index_cache()
-        task = make_task(dataset, workloads)
-        batches = split_cell(task, 2)
-        outcomes = [
-            BatchOutcome(
-                key=task.key,
-                batch_index=0,
-                build_status=STATUS_OK,
-                build_seconds=0.5,
-                index_bytes=10,
-                provenance={"reused": True, "artifact": "a"},
-            ),
-            BatchOutcome(
-                key=task.key,
-                batch_index=1,
-                build_status=STATUS_OK,
-                build_seconds=0.5,
-                index_bytes=10,
-                provenance={"reused": False, "artifact": "a"},
-            ),
+        task = replace(
+            make_task(dataset, workloads), index_store_dir=str(tmp_path)
+        )
+        batches = split_cell(task, 3)
+        lead = run_batch(batches[0])
+        same_process = run_batch(batches[1])  # served by the build memo
+        clear_index_cache()
+        other_process = run_batch(batches[2])  # served by the store
+        assert [o.built for o in (lead, same_process, other_process)] == [
+            True, False, False,
         ]
-        merged = merge_batches(batches, outcomes)
-        assert merged.provenance["reused"] is False
+        cold = merge_batches(batches, [lead, same_process, other_process])
+        assert cold.provenance["fresh_batches"] == 1
+        assert cold.provenance["reused"] is False
+        warm = merge_batches(batches, [run_batch(b) for b in batches])
+        assert warm.provenance["fresh_batches"] == 0
+        assert warm.provenance["reused"] is True
+        clear_index_cache()
+
+    def test_failed_build_propagates_without_running(self, dataset, workloads):
+        """The dispatcher's hook: a failed batch 0 hands every other
+        batch its status; a successful one lets them run."""
+        clear_index_cache()
+        task = make_task(dataset, workloads, build_budget_seconds=0.0)
+        lead_batch, dependent = split_cell(task, 2)
+        lead = run_batch(lead_batch)
+        stand_in = propagate_build_failure(dependent, lead)
+        assert stand_in.build_status == STATUS_TIMEOUT
+        assert (stand_in.key, stand_in.batch_index) == (task.key, 1)
+        assert not stand_in.built and not stand_in.parts
+        merged = merge_batches([lead_batch, dependent], [lead, stand_in])
+        assert canonical_cell(merged) == canonical_cell(run_cell(task))
+        clear_index_cache()
+        ok = run_batch(split_cell(make_task(dataset, workloads), 2)[0])
+        assert propagate_build_failure(dependent, ok) is None
 
     def test_programming_errors_propagate(self, dataset, workloads):
         clear_index_cache()
@@ -406,29 +431,117 @@ class TestRecordAggregation:
 # ----------------------------------------------------------------------
 
 
+def _tiny_profile(method_configs):
+    return replace(
+        CI_PROFILE,
+        nodes_values=(8, 12),
+        default_num_graphs=10,
+        default_nodes=10,
+        default_density=0.2,
+        default_labels=3,
+        query_sizes=(3, 5),
+        queries_per_size=4,
+        method_configs=method_configs,
+    )
+
+
+#: Methods with wildly different speeds, so completion order differs
+#: from submission order almost surely.
+MIXED_SPEED_METHODS = {
+    "ggsx": {"max_path_edges": 2},
+    "naive": {},
+    "ctindex": {"fingerprint_bits": 256, "feature_edges": 3},
+}
+
+
 class TestSweepOrdering:
     def test_batched_sweep_order_matches_sequential(self):
-        from dataclasses import replace
-
-        profile = replace(
-            CI_PROFILE,
-            nodes_values=(8, 12),
-            default_num_graphs=10,
-            default_nodes=10,
-            default_density=0.2,
-            default_labels=3,
-            query_sizes=(3,),
-            queries_per_size=4,
-            # Methods with wildly different speeds, so completion order
-            # differs from submission order almost surely.
-            method_configs={
-                "ggsx": {"max_path_edges": 2},
-                "naive": {},
-                "ctindex": {"fingerprint_bits": 256, "feature_edges": 3},
-            },
-        )
+        profile = _tiny_profile(MIXED_SPEED_METHODS)
         sequential = nodes_sweep(profile, seed=3, jobs=1)
         batched = nodes_sweep(
             profile, seed=3, jobs=2, shared_mem=True, batch_queries=True
         )
         assert list(batched.cells) == list(sequential.cells)
+
+
+# ----------------------------------------------------------------------
+# sweep-level: the build is a prerequisite, run once per cell
+# ----------------------------------------------------------------------
+
+
+class TestBuildOnce:
+    def test_cold_batched_store_sweep_builds_each_index_once(
+        self, tmp_path, monkeypatch
+    ):
+        """jobs=2 + batches + a store, against an empty store: every
+        cell is built by exactly one batch and written exactly once —
+        the other batch waited for it — and nothing else changes."""
+        from repro.indexes.store import IndexStore
+
+        puts = tmp_path / "puts.log"
+        original_put = IndexStore.put
+
+        def logged_put(self, artifact):
+            address = original_put(self, artifact)
+            with open(puts, "a", encoding="utf-8") as log:
+                log.write(address + "\n")
+            return address
+
+        # Pool workers are forked from this process, patch included.
+        monkeypatch.setattr(IndexStore, "put", logged_put)
+        clear_index_cache()
+        profile = _tiny_profile(MIXED_SPEED_METHODS)
+        batched = nodes_sweep(
+            profile,
+            seed=3,
+            jobs=2,
+            batch_queries=True,
+            index_store_dir=str(tmp_path / "store"),
+        )
+        assert batched.fresh_builds() == len(batched.cells) == 6
+        assert batched.duplicate_builds() == 0
+        assert all(
+            cell.provenance["fresh_batches"] == 1
+            for cell in batched.cells.values()
+        )
+        written = puts.read_text(encoding="utf-8").split()
+        assert len(written) == len(set(written)) == len(batched.cells)
+        sequential = nodes_sweep(profile, seed=3, jobs=1)
+        assert sweep_digest(batched) == sweep_digest(sequential)
+        clear_index_cache()
+
+    def test_timed_out_build_costs_one_attempt_per_cell(
+        self, tmp_path, monkeypatch
+    ):
+        """A build that overruns its budget is attempted once: batch 0
+        reports the timeout and the parent hands it to the cell's other
+        batch without dispatching it."""
+        from repro.indexes import ALL_INDEX_CLASSES
+
+        from testkit import StallingIndex
+
+        monkeypatch.setitem(ALL_INDEX_CLASSES, "stalling", StallingIndex)
+        clear_index_cache()
+
+        def sweep(marker, **engine):
+            profile = _tiny_profile(
+                {"naive": {}, "stalling": {"marker": str(marker)}}
+            )
+            return nodes_sweep(profile, seed=3, **engine)
+
+        sequential = sweep(tmp_path / "sequential.log", jobs=1)
+        batched = sweep(
+            tmp_path / "batched.log", jobs=2, shared_mem=True, batch_queries=True
+        )
+        assert {
+            key: cell.build_status for key, cell in batched.cells.items()
+        } == {
+            (8, "naive"): STATUS_OK,
+            (8, "stalling"): STATUS_TIMEOUT,
+            (12, "naive"): STATUS_OK,
+            (12, "stalling"): STATUS_TIMEOUT,
+        }
+        assert sweep_digest(batched) == sweep_digest(sequential)
+        attempts = (tmp_path / "batched.log").read_text(encoding="utf-8")
+        assert attempts.count("build") == 2  # one per stalling cell
+        clear_index_cache()

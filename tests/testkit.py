@@ -126,3 +126,25 @@ class KillerIndex(NaiveIndex):
         import os
 
         os._exit(3)
+
+
+class StallingIndex(NaiveIndex):
+    """An index whose build logs the attempt, then overruns its budget.
+
+    Each build appends one line to the *marker* file before raising
+    ``BudgetExceeded``, so a test can count — across worker processes —
+    how many builds a timed-out cell actually cost.
+    """
+
+    name = "stalling"
+
+    def __init__(self, marker: str = "") -> None:
+        super().__init__()
+        self.marker = marker
+
+    def _build(self, dataset, budget):
+        from repro.utils.budget import BudgetExceeded
+
+        with open(self.marker, "a", encoding="utf-8") as log:
+            log.write("build\n")
+        raise BudgetExceeded(0.0, "stalling build")
