@@ -7,7 +7,6 @@ import inspect
 from pathlib import Path
 
 from repro.core.arena import ArenaHandle, DatasetArena, cached_dataset
-from repro.core.knobs import passthrough_cli as knob_passthrough_cli
 from repro.core.experiments import (
     density_sweep,
     graph_count_sweep,
@@ -16,6 +15,7 @@ from repro.core.experiments import (
     nodes_sweep,
     real_dataset_experiment,
 )
+from repro.core.knobs import SINGLE_GRAPH, active_regime, apply_cli_args
 from repro.core.metrics import summarize_results
 from repro.core.parallel import persistent_pool
 from repro.core.plots import ascii_plot
@@ -101,20 +101,21 @@ def _resolve_jobs(jobs: int) -> int | None:
     return jobs if jobs > 0 else None
 
 
-def _apply_knobs(args: argparse.Namespace) -> None:
-    """Export every knob flag (``--graph-core``, ``--feature-core``,
-    ``--regime``) to the process and its future workers.
+def resolve_regime(args: argparse.Namespace) -> None:
+    """Export an explicit ``--regime`` and reject a mistyped
+    ``REPRO_REGIME`` before any command runs.
 
-    One call per subcommand replaces the per-flag helpers this module
-    used to copy-paste: the toggles travel as their ``REPRO_*``
-    variables — like ``REPRO_SCALE``, worker processes inherit them at
-    spawn, so one flag governs the whole invocation, and no flag leaves
-    the environment (and thus the default) alone.  See
+    The regime travels as its environment variable — like
+    ``REPRO_SCALE``, worker processes inherit it at spawn.  The two
+    regimes answer in different forms, so an unrecognized value is an
+    error rather than a fall-back to the default.  See
     :mod:`repro.core.knobs`.
     """
-    from repro.core.knobs import apply_cli_args
-
     apply_cli_args(args)
+    try:
+        active_regime()
+    except ValueError as exc:
+        raise CliError(str(exc))
 
 
 def _shareable(dataset, jobs: int | None):
@@ -132,7 +133,7 @@ def _shareable(dataset, jobs: int | None):
 
 
 def _resolve_payload_dataset(dataset):
-    """Worker side of :func:`_shareable` (yields the active graph core)."""
+    """Worker side of :func:`_shareable` (yields the CSR dataset)."""
     if isinstance(dataset, ArenaHandle):
         return cached_dataset(dataset)
     return as_core_dataset(dataset)
@@ -244,8 +245,6 @@ def _run_query_rows(index, queries, budget_seconds) -> dict:
     environment here, so pool workers resolve it identically): graph
     ids by default, embedding roots under ``--regime single-graph``.
     """
-    from repro.core.knobs import REGIME
-
     budget = (
         Budget(budget_seconds, phase=f"{index.name} queries")
         if budget_seconds
@@ -253,7 +252,7 @@ def _run_query_rows(index, queries, budget_seconds) -> dict:
     )
     try:
         results = [
-            index.query(query, budget=budget, regime=REGIME.active())
+            index.query(query, budget=budget, regime=active_regime())
             for query in queries
         ]
     except BudgetExceeded:
@@ -314,7 +313,6 @@ def cmd_queries(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    _apply_knobs(args)
     dataset = _load_dataset(args.dataset)
     methods = list(args.method)
     for method in methods:
@@ -415,12 +413,8 @@ def _print_build_row(method: str, num_graphs: int, row: dict) -> None:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    _apply_knobs(args)
     dataset = _load_dataset(args.dataset)
-    from repro.core.knobs import REGIME
-    from repro.indexes import SINGLE_GRAPH
-
-    if REGIME.active() == SINGLE_GRAPH and len(dataset) != 1:
+    if active_regime() == SINGLE_GRAPH and len(dataset) != 1:
         raise CliError(
             f"--regime single-graph requires a one-graph dataset; "
             f"{args.dataset} has {len(dataset)} graphs"
@@ -505,7 +499,6 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    _apply_knobs(args)
     from repro.core.serve import (
         QueryService,
         ServeError,
@@ -549,7 +542,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_serve(args: argparse.Namespace) -> int:
-    _apply_knobs(args)
     import dataclasses
     import json
     import threading
@@ -836,7 +828,6 @@ def _sweep_json_path(base: str, experiment: str, multiple: bool) -> Path:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    _apply_knobs(args)
     from repro.core.scheduling import CostHistory
     from repro.core.sharding import (
         ManifestError,
@@ -1072,7 +1063,6 @@ def cmd_launch(args: argparse.Namespace) -> int:
     invocations, their manifests are auto-merged, and the merged digest
     is asserted — balanced assignment must never change a result byte.
     A driver run manifest makes the whole launch resumable."""
-    _apply_knobs(args)
     from repro.core.driver import (
         DriverError,
         DriverRun,
@@ -1261,7 +1251,6 @@ def cmd_launch(args: argparse.Namespace) -> int:
             cli += ["--index-store", args.index_store]
         if args.no_index_reuse:
             cli.append("--no-index-reuse")
-        cli += knob_passthrough_cli(args)
         if args.resume and shard_manifest.exists():
             cli.append("--resume")
         commands_to_run.append(

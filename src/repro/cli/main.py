@@ -87,20 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         "prebuilt index instead of building, and store fresh builds "
         "for later commands",
     )
-    build.add_argument(
-        "--graph-core",
-        choices=["csr", "dict"],
-        help="in-memory graph representation for the hot path: immutable "
-        "flat-array CSR (default) or the legacy dict-of-sets core; "
-        "both produce byte-identical results",
-    )
-    build.add_argument(
-        "--feature-core",
-        choices=["csr", "dict"],
-        help="feature-enumeration kernels: vectorized CSR array walks "
-        "(default) or the legacy dict-walk recursion; features are "
-        "byte-identical across cores",
-    )
     build.set_defaults(handler=commands.cmd_build)
 
     query = subparsers.add_parser(
@@ -138,20 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="content-addressed index artifact store: reuse matching "
         "prebuilt indexes instead of building, and store fresh builds "
         "for later commands",
-    )
-    query.add_argument(
-        "--graph-core",
-        choices=["csr", "dict"],
-        help="in-memory graph representation for the hot path: immutable "
-        "flat-array CSR (default) or the legacy dict-of-sets core; "
-        "both produce byte-identical results",
-    )
-    query.add_argument(
-        "--feature-core",
-        choices=["csr", "dict"],
-        help="feature-enumeration kernels: vectorized CSR array walks "
-        "(default) or the legacy dict-walk recursion; features are "
-        "byte-identical across cores",
     )
     query.add_argument(
         "--regime",
@@ -255,20 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         "timings) even when --index-store holds a matching artifact; "
         "fresh builds are still written to the store",
     )
-    sweep.add_argument(
-        "--graph-core",
-        choices=["csr", "dict"],
-        help="in-memory graph representation for the hot path: immutable "
-        "flat-array CSR (default) or the legacy dict-of-sets core; "
-        "sweeps are byte-identical across cores",
-    )
-    sweep.add_argument(
-        "--feature-core",
-        choices=["csr", "dict"],
-        help="feature-enumeration kernels: vectorized CSR array walks "
-        "(default) or the legacy dict-walk recursion; sweeps are "
-        "byte-identical across cores",
-    )
     sweep.add_argument("--out", help="directory for rendered outputs")
     sweep.add_argument("--plot", action="store_true", help="ASCII plots too")
     sweep.add_argument(
@@ -310,11 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     launch.add_argument(
         "--executor",
-        choices=["local", "inprocess", "ssh", "k8s"],
+        choices=["local", "inprocess"],
         default="local",
-        help="how shards run: concurrent local subprocesses (default), "
-        "sequential in-process calls (debugging), or the documented "
-        "ssh/k8s stubs",
+        help="how shards run: concurrent local subprocesses (default) "
+        "or sequential in-process calls (debugging)",
     )
     launch.add_argument(
         "--method",
@@ -376,16 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-index-reuse",
         action="store_true",
         help="pass --no-index-reuse through to every shard sweep",
-    )
-    launch.add_argument(
-        "--graph-core",
-        choices=["csr", "dict"],
-        help="pass --graph-core through to every shard sweep",
-    )
-    launch.add_argument(
-        "--feature-core",
-        choices=["csr", "dict"],
-        help="pass --feature-core through to every shard sweep",
     )
     launch.add_argument(
         "--json",
@@ -538,20 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="build fresh at startup even when --index-store holds a "
         "matching artifact (fresh builds are still written through)",
     )
-    serve.add_argument(
-        "--graph-core",
-        choices=["csr", "dict"],
-        help="in-memory graph representation for the hot path: immutable "
-        "flat-array CSR (default) or the legacy dict-of-sets core; "
-        "answers are identical",
-    )
-    serve.add_argument(
-        "--feature-core",
-        choices=["csr", "dict"],
-        help="feature-enumeration kernels for index builds: vectorized "
-        "CSR array walks (default) or the legacy dict-walk recursion; "
-        "answers are identical",
-    )
     serve.set_defaults(handler=commands.cmd_serve)
 
     bench = subparsers.add_parser(
@@ -623,16 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the run's metrics + KPI outcomes as a benchmark "
         "trajectory point (e.g. BENCH_pr7.json)",
     )
-    bench.add_argument(
-        "--graph-core",
-        choices=["csr", "dict"],
-        help="graph core for self-hosted/--verify builds",
-    )
-    bench.add_argument(
-        "--feature-core",
-        choices=["csr", "dict"],
-        help="feature core for self-hosted/--verify builds",
-    )
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
     bench_serve = bench_sub.add_parser(
         "serve",
@@ -655,8 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("--updates", {"metavar": "FILE"}),
         ("--verify", {"action": "store_true"}),
         ("--json", {"metavar": "FILE"}),
-        ("--graph-core", {"choices": ["csr", "dict"]}),
-        ("--feature-core", {"choices": ["csr", "dict"]}),
     ):
         bench_serve.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
     bench_serve.set_defaults(handler=commands.cmd_bench_serve)
@@ -686,6 +607,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        commands.resolve_regime(args)
         return args.handler(args)
     except commands.CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,8 +8,8 @@ the transactional-database analogue: :class:`DatasetArena` serializes a
 :class:`~repro.graphs.dataset.GraphDataset` **once** into a
 ``multiprocessing.shared_memory`` segment (the flat-array format of
 :func:`repro.graphs.dataset.pack_dataset`), and workers *attach* to the
-segment by name, reading graphs straight out of the mapped buffer via
-the zero-copy :class:`~repro.graphs.dataset.PackedDatasetReader`.
+segment by name and copy the packed arrays straight into a
+:class:`~repro.graphs.csr.CSRDataset`.
 
 Ownership and cleanup are deliberately simple:
 
@@ -37,10 +37,9 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 
-from repro.graphs.csr import CSRDataset, active_graph_core
+from repro.graphs.csr import CSRDataset
 from repro.graphs.dataset import (
     GraphDataset,
-    PackedDatasetReader,
     dataset_fingerprint,
     pack_dataset,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "DatasetArena",
     "SharedCellTask",
     "attach_csr_dataset",
-    "attach_dataset",
     "cached_dataset",
     "clear_worker_caches",
     "live_arenas",
@@ -121,7 +119,7 @@ class DatasetArena:
         """Unmap **and unlink** the segment (idempotent).
 
         Only the creator calls this; attached workers merely close their
-        own mapping (:func:`attach_dataset` does so immediately after
+        own mapping (:func:`attach_csr_dataset` does so immediately after
         materializing).
         """
         if self._shm is None:
@@ -189,11 +187,13 @@ def _untrack(shm: shared_memory.SharedMemory) -> None:
         pass
 
 
-def attach_dataset(handle: ArenaHandle) -> GraphDataset:
+def attach_csr_dataset(handle: ArenaHandle) -> CSRDataset:
     """Materialize the dataset behind *handle* from shared memory.
 
-    Attaches to the segment, reads every graph zero-copy, and detaches
-    immediately — the returned dataset is ordinary process-local memory,
+    Attaches to the segment, copies the packed flat arrays straight into
+    CSR ``indptr``/``indices`` — no intermediate builder
+    :class:`~repro.graphs.graph.Graph` is ever rebuilt — and detaches
+    immediately: the returned dataset is ordinary process-local memory,
     so the creator can unlink the segment at any later point without
     invalidating it.
 
@@ -208,56 +208,26 @@ def attach_dataset(handle: ArenaHandle) -> GraphDataset:
     if not shared_tracker:
         _untrack(shm)
     try:
-        with PackedDatasetReader(shm.buf) as reader:
-            dataset = GraphDataset(reader.graphs(), name=reader.dataset_name)
-    finally:
-        shm.close()
-    return dataset
-
-
-def attach_csr_dataset(handle: ArenaHandle) -> CSRDataset:
-    """Materialize a CSR view of the dataset behind *handle*.
-
-    Same ownership rules as :func:`attach_dataset`, but the packed flat
-    arrays become CSR ``indptr``/``indices`` directly — no intermediate
-    dict :class:`~repro.graphs.graph.Graph` is ever rebuilt.
-    """
-    shared_tracker = _tracker_shared()
-    shm = shared_memory.SharedMemory(name=handle.shm_name)
-    if not shared_tracker:
-        _untrack(shm)
-    try:
         dataset = CSRDataset.from_packed(shm.buf)
     finally:
         shm.close()
     return dataset
 
 
-#: Per-process dataset cache: (content fingerprint, graph core) ->
-#: materialized dataset.  The core is part of the key so a dict-core
-#: sweep following a CSR-core one in the same worker cannot be served
-#: the wrong representation.
-_DATASET_CACHE: dict[tuple[int, str], GraphDataset | CSRDataset] = {}
+#: Per-process dataset cache: content fingerprint -> attached dataset.
+_DATASET_CACHE: dict[int, CSRDataset] = {}
 
 
-def cached_dataset(handle: ArenaHandle) -> GraphDataset | CSRDataset:
+def cached_dataset(handle: ArenaHandle) -> CSRDataset:
     """Worker-side attach with caching by content fingerprint.
 
     The first task touching a dataset in a given worker pays the attach
     + materialization; every later task in that worker (the persistent
     pool keeps workers alive across sweeps) reuses the same object.
-    Under the CSR core the attach skips the ``from_adjacency`` rebuild
-    and maps the packed arrays straight into :class:`CSRDataset`.
     """
-    core = active_graph_core()
-    key = (handle.fingerprint, core)
-    dataset = _DATASET_CACHE.get(key)
+    dataset = _DATASET_CACHE.get(handle.fingerprint)
     if dataset is None:
-        if core == "csr":
-            dataset = attach_csr_dataset(handle)
-        else:
-            dataset = attach_dataset(handle)
-        _DATASET_CACHE[key] = dataset
+        dataset = _DATASET_CACHE[handle.fingerprint] = attach_csr_dataset(handle)
     return dataset
 
 

@@ -27,9 +27,8 @@ balances and coordinates the partitions.  This module is that layer:
   planning and infrastructure.  :class:`LocalSubprocessExecutor` runs
   shards as concurrent ``python -m repro sweep --cells ...``
   subprocesses; :class:`InProcessExecutor` runs them sequentially in
-  the calling process (tests, debugging); :class:`SSHExecutor` and
-  :class:`KubernetesExecutor` are documented stubs marking where a
-  fleet backend plugs in.
+  the calling process (tests, debugging).  A fleet backend is one more
+  subclass (contract: ``docs/architecture.md``, Layer 5).
 * **Driver run manifests** — :class:`DriverRun` records the planned
   assignment, grid identity, and (after merge) the merged digest in a
   ``<out>.driver.json`` file, so ``repro launch --resume`` reuses the
@@ -68,9 +67,7 @@ __all__ = [
     "DriverRun",
     "EXECUTORS",
     "InProcessExecutor",
-    "KubernetesExecutor",
     "LocalSubprocessExecutor",
-    "SSHExecutor",
     "ShardCommand",
     "ShardExecutor",
     "append_history",
@@ -456,57 +453,9 @@ class InProcessExecutor(ShardExecutor):
         return codes
 
 
-class SSHExecutor(ShardExecutor):
-    """Documented stub: run each shard over SSH on a fleet host.
-
-    The contract a real implementation fills in: start
-    ``repro sweep <experiment> --cells ... --json <shared-path>`` on a
-    host picked from a pool, stream its log back, and return its exit
-    code.  Because shard sweeps communicate *only* through manifest
-    files and content-addressed artifact stores, a shared filesystem
-    (NFS) or a copy-back step is the whole integration surface — the
-    driver's planning, resume, and merge logic is substrate-agnostic.
-    """
-
-    name = "ssh"
-
-    def run(self, commands: Sequence[ShardCommand]) -> list[int]:
-        raise DriverError(
-            "the ssh executor is a documented stub — shard sweeps only "
-            "need a host that can run 'repro sweep' against a shared "
-            "filesystem; see docs/architecture.md (Layer 5)"
-        )
-
-
-class KubernetesExecutor(ShardExecutor):
-    """Documented stub: run each shard as a Kubernetes Job.
-
-    A real implementation maps one :class:`ShardCommand` to one Job
-    (image with this package, args = ``repro <cli_args>``, a
-    ReadWriteMany volume for shard manifests and the index store),
-    waits for completion, and returns container exit codes.  Nothing
-    else changes: resume and merge already operate purely on the
-    manifest files the Jobs leave on the volume.
-    """
-
-    name = "k8s"
-
-    def run(self, commands: Sequence[ShardCommand]) -> list[int]:
-        raise DriverError(
-            "the k8s executor is a documented stub — one shard maps to "
-            "one Job writing its manifest to a shared volume; see "
-            "docs/architecture.md (Layer 5)"
-        )
-
-
 EXECUTORS: dict[str, type[ShardExecutor]] = {
     cls.name: cls
-    for cls in (
-        LocalSubprocessExecutor,
-        InProcessExecutor,
-        SSHExecutor,
-        KubernetesExecutor,
-    )
+    for cls in (LocalSubprocessExecutor, InProcessExecutor)
 }
 
 

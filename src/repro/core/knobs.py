@@ -1,139 +1,61 @@
-"""Process-wide run knobs: one declaration per ``REPRO_*`` selector.
+"""The one process-wide run selector: the query answer regime.
 
-Every CLI toggle that travels as an environment variable — so worker
-processes inherit it at spawn and sharded child invocations can be
-handed it verbatim — follows the same contract:
+``repro query --regime`` travels as the ``REPRO_REGIME`` environment
+variable, so pool workers inherit it at spawn and resolve the answer
+form exactly as the parent did:
 
 * the value is **read from the environment on every call** (tests and
-  the CLI flip knobs without touching module state),
-* unrecognized values fall back to the default (first choice),
-* an explicit CLI flag exports to the environment; no flag leaves the
-  environment (and thus the default) alone,
-* ``repro launch`` replicates the caller's explicit flags onto each
-  shard's command line, so children agree with the parent.
-
-This module is the one place that contract lives.  The historical
-accessors (:func:`repro.graphs.csr.active_graph_core`,
-:func:`repro.features.kernels.active_feature_core`) remain as thin
-delegates so existing imports keep working.
+  the CLI flip it without touching module state);
+* unset (or empty) means :data:`TRANSACTIONAL`;
+* any other unrecognized value is an error — the two regimes print
+  different things (graph ids vs embedding roots), so a mistyped value
+  must never silently pick one;
+* an explicit ``--regime`` flag exports to the environment; no flag
+  leaves the environment alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-from dataclasses import dataclass
+
+from repro.indexes.base import REGIMES, SINGLE_GRAPH, TRANSACTIONAL
 
 __all__ = [
-    "Knob",
-    "GRAPH_CORE",
-    "FEATURE_CORE",
-    "REGIME",
-    "ALL_KNOBS",
+    "REGIME_ENV",
+    "REGIMES",
     "TRANSACTIONAL",
     "SINGLE_GRAPH",
+    "active_regime",
     "apply_cli_args",
-    "passthrough_cli",
 ]
 
-#: The paper's regime: many small graphs, answers are graph ids.
-TRANSACTIONAL = "transactional"
-#: The massive regime: one huge graph, answers are embedding roots.
-SINGLE_GRAPH = "single-graph"
+#: Environment variable the regime travels in.
+REGIME_ENV = "REPRO_REGIME"
 
 
-@dataclass(frozen=True, slots=True)
-class Knob:
-    """One environment-travelling run selector.
+def active_regime() -> str:
+    """The selected regime, read from the environment now.
 
-    ``choices`` lists the recognized values, default first.  ``flag``
-    is the CLI spelling (``--graph-core``); the matching argparse
-    attribute name is derived from it.
+    Raises
+    ------
+    ValueError
+        If ``REPRO_REGIME`` is set to anything but one of
+        :data:`REGIMES`.
     """
-
-    #: CLI flag spelling, e.g. ``--graph-core``.
-    flag: str
-    #: Environment variable the value travels in.
-    env: str
-    #: Recognized values, default first.
-    choices: tuple[str, ...]
-    #: One-line help used by the CLI declaration.
-    help: str = ""
-
-    @property
-    def default(self) -> str:
-        return self.choices[0]
-
-    @property
-    def attr(self) -> str:
-        """The argparse ``Namespace`` attribute for :attr:`flag`."""
-        return self.flag.lstrip("-").replace("-", "_")
-
-    def active(self) -> str:
-        """The knob's current value, read from the environment now.
-
-        Unrecognized values fall back to the default, so a stale or
-        mistyped variable can never select an unknown mode.
-        """
-        value = os.environ.get(self.env, self.default).strip().lower()
-        return value if value in self.choices else self.default
-
-
-#: In-memory graph representation (``repro.graphs.csr``).
-GRAPH_CORE = Knob(
-    flag="--graph-core",
-    env="REPRO_GRAPH_CORE",
-    choices=("csr", "dict"),
-    help="in-memory graph representation for this invocation",
-)
-
-#: Feature-enumeration kernels (``repro.features.kernels``).
-FEATURE_CORE = Knob(
-    flag="--feature-core",
-    env="REPRO_FEATURE_CORE",
-    choices=("csr", "dict"),
-    help="feature-enumeration kernels for this invocation",
-)
-
-#: Query answer regime (``repro.indexes.base``): graph ids over a
-#: transaction database, or embedding roots over one massive graph.
-REGIME = Knob(
-    flag="--regime",
-    env="REPRO_REGIME",
-    choices=(TRANSACTIONAL, SINGLE_GRAPH),
-    help="query answer form: transactional graph ids or "
-    "single-graph embedding roots",
-)
-
-#: Every registered knob, in CLI declaration order.
-ALL_KNOBS = (GRAPH_CORE, FEATURE_CORE, REGIME)
+    value = os.environ.get(REGIME_ENV, "").strip().lower()
+    if not value:
+        return TRANSACTIONAL
+    if value not in REGIMES:
+        raise ValueError(
+            f"{REGIME_ENV}={os.environ[REGIME_ENV]!r} is not a regime; "
+            f"expected one of {', '.join(REGIMES)}"
+        )
+    return value
 
 
 def apply_cli_args(args: argparse.Namespace) -> None:
-    """Export every knob flag present on *args* into the environment.
-
-    The toggle travels as its ``REPRO_*`` variable — like
-    ``REPRO_SCALE``, worker processes inherit it at spawn, so one flag
-    governs the whole invocation.  Absent flags (``None``) leave the
-    environment alone.
-    """
-    for knob in ALL_KNOBS:
-        value = getattr(args, knob.attr, None)
-        if value is not None:
-            os.environ[knob.env] = value
-
-
-def passthrough_cli(args: argparse.Namespace) -> list[str]:
-    """Replicate the caller's explicit knob flags for a child command.
-
-    ``repro launch`` builds each shard's ``repro sweep`` command line
-    with this, so children resolve every knob exactly as the parent
-    did; knobs the caller never set stay unset (children read their own
-    environment, which the executor already forwards).
-    """
-    cli: list[str] = []
-    for knob in ALL_KNOBS:
-        value = getattr(args, knob.attr, None)
-        if value:
-            cli += [knob.flag, value]
-    return cli
+    """Export an explicit ``--regime`` on *args* into the environment."""
+    value = getattr(args, "regime", None)
+    if value is not None:
+        os.environ[REGIME_ENV] = value

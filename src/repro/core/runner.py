@@ -210,8 +210,7 @@ def evaluate_method(
 
     Never raises for method failures; statuses record them.
     """
-    # Under the CSR core (the default), the hot loops below see the
-    # immutable flat-array dataset; the dict core passes through.
+    # The hot loops below see the immutable flat-array dataset.
     dataset = as_core_dataset(dataset)
     index = make_method(method_name, method_config)
     cell = MethodCell(method=method_name, build_status=STATUS_OK)
@@ -299,9 +298,9 @@ def _run_workloads(
             if query_budget_seconds is not None
             else None
         )
-        # Query admission: convert each workload query to the active
-        # core once, here, so filter and verify both see CSR-vs-CSR
-        # (queries arrive from generators/IO as builder dict graphs).
+        # Query admission: convert each workload query to CSR once,
+        # here, so filter and verify both see CSR-vs-CSR (queries
+        # arrive from generators/IO as builder graphs).
         admitted = [as_core_query(query) for query in queries]
         try:
             results = [

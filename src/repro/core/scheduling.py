@@ -38,7 +38,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.core.arena import ArenaHandle, SharedCellTask, cached_dataset
-from repro.graphs.csr import active_graph_core, as_core_dataset, as_core_query
+from repro.graphs.csr import as_core_dataset, as_core_query
 from repro.core.metrics import QueryRecord, record_of, summarize_records
 from repro.core.runner import (
     STATUS_ERROR,
@@ -441,10 +441,6 @@ def _built_index_for(batch: QueryBatch) -> tuple[tuple, bool]:
         batch.method,
         tuple(sorted(params.items())),
         batch.dataset_key,
-        # Indexes hold a reference to the dataset they were built over
-        # (verify walks it), so a dict-core build must never be served
-        # to a CSR-core batch in the same process, or vice versa.
-        active_graph_core(),
         batch.build_budget_seconds,
         batch.build_memory_bytes,
         None if batch.reuse_indexes else batch.key,
@@ -542,7 +538,7 @@ def run_batch(batch: QueryBatch) -> BatchOutcome:
         )
         try:
             # Query admission, as in the runner: each part's queries
-            # convert to the active core once before answering.
+            # convert to CSR once before answering.
             records = tuple(
                 record_of(
                     index.query(

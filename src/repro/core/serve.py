@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.core.runner import make_method
-from repro.graphs.csr import active_graph_core, as_core_dataset, as_core_query
+from repro.graphs.csr import as_core_dataset, as_core_query
 from repro.graphs.dataset import (
     DatasetDelta,
     GraphDataset,
@@ -220,9 +220,9 @@ class QueryService:
     Parameters
     ----------
     dataset:
-        The data-graph collection queries run against (converted to the
-        active graph core once, here, so every request thread shares
-        the same immutable CSR structures).
+        The data-graph collection queries run against (converted to
+        CSR once, here, so every request thread shares the same
+        immutable structures).
     methods:
         Method names to warm (default: the full roster).
     method_options:
@@ -264,11 +264,11 @@ class QueryService:
         self._pending_lock = threading.Lock()
         self._pending_updates = 0
         self.updates_applied = 0
-        #: Parsed + core-converted query workloads, keyed by content
+        #: Parsed + CSR-converted query workloads, keyed by content
         #: digest of the request text: repeated workloads (the shape of
         #: real query traffic, and of the load generator) skip both the
         #: ``.gfd`` parse and the per-query CSR conversion.
-        self._query_cache: OrderedDict[tuple, tuple] = OrderedDict()
+        self._query_cache: OrderedDict[str, tuple] = OrderedDict()
         self._query_cache_lock = threading.Lock()
         self.query_cache_hits = 0
         self.query_cache_misses = 0
@@ -386,22 +386,19 @@ class QueryService:
             return [state.index.query(query) for query in queries]
 
     def _admitted_queries(self, gfd_text: str) -> tuple:
-        """Parse + core-convert a request body, content-digest cached.
+        """Parse + CSR-convert a request body, content-digest cached.
 
         Admission happens once per distinct request text: the parsed
-        workload is converted to the active graph core (CSR by default)
-        and memoized under a digest of the body, so a repeated query —
-        the common case for real traffic and for the load generator —
-        costs one hash instead of a ``.gfd`` parse plus per-query CSR
-        conversion.  The core is part of the key: a daemon restarted
-        under a different ``REPRO_GRAPH_CORE`` never sees stale
-        conversions, and the cached graphs are immutable so sharing one
-        tuple across request threads is safe.
+        workload is converted to CSR and memoized under a digest of the
+        body, so a repeated query — the common case for real traffic
+        and for the load generator — costs one hash instead of a
+        ``.gfd`` parse plus per-query CSR conversion.  The cached graphs
+        are immutable, so sharing one tuple across request threads is
+        safe.
         """
-        key = (
-            hashlib.blake2b(gfd_text.encode("utf-8"), digest_size=16).hexdigest(),
-            active_graph_core(),
-        )
+        key = hashlib.blake2b(
+            gfd_text.encode("utf-8"), digest_size=16
+        ).hexdigest()
         with self._query_cache_lock:
             cached = self._query_cache.get(key)
             if cached is not None:

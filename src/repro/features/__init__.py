@@ -13,14 +13,11 @@ size-limited substructures of every graph:
   (CT-Index, Tree+Δ's Δ features).
 
 Feature *size* is the number of edges throughout, as in the paper.
+Every enumeration runs over the CSR arrays and converts a builder
+:class:`~repro.graphs.graph.Graph` on entry.
 """
 
 from repro.features.cycles import enumerate_simple_cycles
-from repro.features.kernels import (
-    FEATURE_CORE_ENV,
-    FEATURE_CORES,
-    active_feature_core,
-)
 from repro.features.paths import PathOccurrences, path_features
 from repro.features.trees import connected_edge_subsets, enumerate_trees
 
@@ -30,7 +27,4 @@ __all__ = [
     "enumerate_trees",
     "connected_edge_subsets",
     "enumerate_simple_cycles",
-    "FEATURE_CORE_ENV",
-    "FEATURE_CORES",
-    "active_feature_core",
 ]

@@ -7,22 +7,24 @@ classic anchored scheme: a cycle is reported from its minimum-id vertex
 (the anchor), growing simple paths through vertices larger than the
 anchor, and accepting a closure back to the anchor only when the second
 path vertex is smaller than the last — fixing one of the two traversal
-directions.
+directions.  The search is an iterative DFS over the raw CSR
+``indptr``/``indices`` lists; the recursive walk it replaced is the
+reference in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.features.kernels import csr_adjacency, csr_simple_cycles
-from repro.graphs.graph import Graph
+from repro.graphs.csr import as_core_query
+from repro.graphs.protocol import LabeledGraph
 from repro.utils.budget import Budget
 
 __all__ = ["enumerate_simple_cycles"]
 
 
 def enumerate_simple_cycles(
-    graph: Graph, max_edges: int, budget: Budget | None = None
+    graph: LabeledGraph, max_edges: int, budget: Budget | None = None
 ) -> Iterator[tuple[int, ...]]:
     """Yield each simple cycle of ``3..max_edges`` edges exactly once.
 
@@ -30,37 +32,50 @@ def enumerate_simple_cycles(
     cycle's minimum-id vertex.  A cycle of *k* vertices has *k* edges,
     so ``max_edges`` bounds both.
     """
-    if csr_adjacency(graph) is not None:
-        # CSR host under the csr feature core: same cycles, same order.
-        yield from csr_simple_cycles(graph, max_edges, budget=budget)
-        return
     if max_edges < 3:
         return
-    on_path = [False] * graph.order
-    path: list[int] = []
+    indptr_arr, indices_arr = as_core_query(graph).adjacency_arrays()
+    indptr: list[int] = indptr_arr.tolist()
+    indices: list[int] = indices_arr.tolist()
+    order = len(indptr) - 1
 
-    def search(anchor: int, vertex: int) -> Iterator[tuple[int, ...]]:
-        for neighbor in graph.neighbors(vertex):
-            if neighbor == anchor:
-                # Closing edge: need ≥ 3 vertices and a fixed direction.
-                if len(path) >= 3 and path[1] < path[-1]:
-                    yield tuple(path)
-                continue
-            if neighbor < anchor or on_path[neighbor]:
-                continue
-            if len(path) == max_edges:
-                continue  # adding a vertex would exceed the edge limit
-            on_path[neighbor] = True
-            path.append(neighbor)
-            yield from search(anchor, neighbor)
-            path.pop()
-            on_path[neighbor] = False
+    on_path = bytearray(order)
+    # One frame per path vertex: the vertex and its resume cursor.
+    path = [0] * max_edges
+    cstack = [0] * max_edges
 
-    for anchor in graph.vertices():
+    for anchor in range(order):
         if budget is not None:
             budget.check()
-        on_path[anchor] = True
-        path.append(anchor)
-        yield from search(anchor, anchor)
-        path.pop()
-        on_path[anchor] = False
+        on_path[anchor] = 1
+        depth = 0  # index of the path's last vertex
+        path[0] = anchor
+        cstack[0] = indptr[anchor]
+        while depth >= 0:
+            v = path[depth]
+            cursor = cstack[depth]
+            end = indptr[v + 1]
+            descended = False
+            while cursor < end:
+                w = indices[cursor]
+                cursor += 1
+                if w == anchor:
+                    # Closing edge: ≥ 3 vertices and a fixed direction.
+                    if depth >= 2 and path[1] < path[depth]:
+                        yield tuple(path[: depth + 1])
+                    continue
+                if w < anchor or on_path[w]:
+                    continue
+                if depth + 1 == max_edges:
+                    continue  # one more vertex would exceed the limit
+                cstack[depth] = cursor
+                depth += 1
+                on_path[w] = 1
+                path[depth] = w
+                cstack[depth] = indptr[w]
+                descended = True
+                break
+            if descended:
+                continue
+            on_path[v] = 0
+            depth -= 1

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.features.kernels import csr_adjacency, csr_edge_list
-from repro.graphs.graph import Graph
+import numpy as np
+
+from repro.graphs.csr import as_core_query
+from repro.graphs.protocol import LabeledGraph
 from repro.utils.budget import Budget
 
 __all__ = ["connected_edge_subsets", "enumerate_trees"]
@@ -27,8 +29,26 @@ __all__ = ["connected_edge_subsets", "enumerate_trees"]
 Edge = tuple[int, int]
 
 
+def _edge_list(graph: LabeledGraph) -> list[Edge]:
+    """All edges as ``(u, v)`` tuples with ``u < v``, in one shot.
+
+    The ESU enumeration only touches the host graph through its edge
+    list; it is extracted in one vectorized pass over the CSR arrays.
+    Row order — ascending ``u``, then ascending ``v`` — matches
+    ``CSRGraph.edges()`` exactly.
+    """
+    indptr, indices = as_core_query(graph).adjacency_arrays()
+    if not indices.shape[0]:
+        return []
+    rows = np.repeat(
+        np.arange(indptr.shape[0] - 1, dtype=np.int64), np.diff(indptr)
+    )
+    keep = rows < indices
+    return list(zip(rows[keep].tolist(), indices[keep].tolist()))
+
+
 def connected_edge_subsets(
-    graph: Graph,
+    graph: LabeledGraph,
     max_edges: int,
     trees_only: bool = False,
     budget: Budget | None = None,
@@ -41,14 +61,7 @@ def connected_edge_subsets(
     """
     if max_edges < 1:
         return
-    if csr_adjacency(graph) is not None:
-        # The ESU core only touches the graph through its edge list;
-        # extract it in one vectorized pass.  Row order matches
-        # ``edges()`` on the same CSR graph, so discovery order is
-        # byte-identical.
-        edges: list[Edge] = csr_edge_list(graph)
-    else:
-        edges = [(u, v) if u < v else (v, u) for u, v in graph.edges()]
+    edges = _edge_list(graph)
     incident: dict[int, list[int]] = {}
     for index, (u, v) in enumerate(edges):
         incident.setdefault(u, []).append(index)
@@ -111,7 +124,7 @@ def connected_edge_subsets(
 
 
 def enumerate_trees(
-    graph: Graph, max_edges: int, budget: Budget | None = None
+    graph: LabeledGraph, max_edges: int, budget: Budget | None = None
 ) -> Iterator[tuple[Edge, ...]]:
     """Yield every subtree (acyclic connected edge subset) up to the limit."""
     yield from connected_edge_subsets(graph, max_edges, trees_only=True, budget=budget)

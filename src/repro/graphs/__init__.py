@@ -14,11 +14,13 @@ the paper benchmarked).  The package provides:
 * :mod:`~repro.graphs.io` — a line-oriented text format compatible in
   spirit with the ``.gfd`` files used by Grapes/GGSX;
 * :mod:`~repro.graphs.csr` — the immutable flat-array (CSR) graph core
-  the hot paths run on by default, with :class:`Graph` kept as the
-  mutable builder.
+  every data graph and admitted query runs on, with :class:`Graph` kept
+  as the mutable builder;
+* :mod:`~repro.graphs.protocol` — the read-only accessor set both
+  classes implement.
 """
 
-from repro.graphs.csr import CSRDataset, CSRGraph, active_graph_core, as_core_dataset
+from repro.graphs.csr import CSRDataset, CSRGraph, as_core_dataset
 from repro.graphs.dataset import GraphDataset
 from repro.graphs.graph import Graph, GraphError
 from repro.graphs.statistics import DatasetStatistics, GraphStatistics, dataset_statistics, graph_statistics
@@ -31,7 +33,6 @@ __all__ = [
     "CSRDataset",
     "GraphStatistics",
     "DatasetStatistics",
-    "active_graph_core",
     "as_core_dataset",
     "graph_statistics",
     "dataset_statistics",

@@ -23,13 +23,9 @@ Determinism: every generic accessor returns plain Python ints (numpy
 scalars ``repr`` differently and would corrupt content fingerprints and
 canonical structures), and neighbor order is *sorted* rather than
 set-iteration order.  All canonicalized sweep quantities are
-order-independent functions of graph content, which is what makes the
-CSR and dict cores byte-identical under the canonical digest — pinned
-by the cross-core equivalence tests.
-
-The active core is selected by the ``REPRO_GRAPH_CORE`` environment
-variable (``csr`` by default, ``dict`` for the legacy representation),
-surfaced on the CLI as ``--graph-core``.
+order-independent functions of graph content, so an index fed the
+builder dataset directly and one fed its CSR conversion canonicalize to
+the same bytes — pinned by ``tests/test_graph_core.py``.
 """
 
 from __future__ import annotations
@@ -51,66 +47,39 @@ from repro.graphs.graph import Graph
 __all__ = [
     "CSRGraph",
     "CSRDataset",
-    "GRAPH_CORE_ENV",
-    "GRAPH_CORES",
-    "active_graph_core",
     "as_core_dataset",
     "as_core_query",
 ]
 
 Label = Hashable
 
-#: Environment variable selecting the in-memory graph representation
-#: (mirrors :data:`repro.core.knobs.GRAPH_CORE`, the declaration of
-#: record; duplicated as a literal to avoid a package import cycle).
-GRAPH_CORE_ENV = "REPRO_GRAPH_CORE"
-#: Recognized core names, default first.
-GRAPH_CORES = ("csr", "dict")
 
+def as_core_dataset(dataset):
+    """*dataset* as a :class:`CSRDataset` (idempotent).
 
-def active_graph_core() -> str:
-    """The selected graph core: ``csr`` (default) or ``dict``.
-
-    Delegates to :data:`repro.core.knobs.GRAPH_CORE` — read from the
-    environment on every call, so tests and the CLI can flip cores
-    without touching module state; unrecognized values fall back to the
-    default.  Imported lazily: ``repro.core`` imports this module at
-    package init.
+    A builder :class:`~repro.graphs.dataset.GraphDataset` is converted;
+    anything already converted passes through unchanged.
     """
-    from repro.core.knobs import GRAPH_CORE
-
-    return GRAPH_CORE.active()
-
-
-def as_core_dataset(dataset, core: str | None = None):
-    """*dataset* in the active core's representation (idempotent).
-
-    Under the ``csr`` core a :class:`~repro.graphs.dataset.GraphDataset`
-    is converted to a :class:`CSRDataset`; anything already converted —
-    or any dataset under the ``dict`` core — passes through unchanged.
-    """
-    if core is None:
-        core = active_graph_core()
-    if core != "csr" or isinstance(dataset, CSRDataset):
+    if isinstance(dataset, CSRDataset):
         return dataset
     return CSRDataset.from_dataset(dataset)
 
 
-def as_core_query(query, core: str | None = None):
-    """*query* in the active core's representation (idempotent).
+def as_core_query(query):
+    """*query* as a :class:`CSRGraph` (idempotent).
 
-    Query admission for the verify path: under the ``csr`` core a
-    builder :class:`~repro.graphs.graph.Graph` is converted once —
-    at the runner / batch-dispatch / daemon boundary — so the matchers
-    and the feature kernels see CSR on *both* sides of every
-    (query, data) pair.  The query gets a private label table; every
-    canonicalized quantity is a function of label objects, not ids, so
-    sharing the dataset's table is unnecessary.  Anything already
-    converted, or any query under the ``dict`` core, passes through.
+    Query admission for the verify path: a builder
+    :class:`~repro.graphs.graph.Graph` is converted once — at the
+    runner / batch-dispatch / daemon boundary — so the matchers and the
+    feature enumerations see CSR on *both* sides of every (query, data)
+    pair.  The query gets a private label table; every canonicalized
+    quantity is a function of label objects, not ids, so sharing the
+    dataset's table is unnecessary.  The array-only consumers (feature
+    enumeration, Ullmann's bit matrix, gCode's counters) call this on
+    whatever they are handed, which is a no-op ``isinstance`` for every
+    graph that was admitted upstream.
     """
-    if core is None:
-        core = active_graph_core()
-    if core != "csr" or isinstance(query, CSRGraph):
+    if isinstance(query, CSRGraph):
         return query
     return CSRGraph.from_graph(query)
 
@@ -118,16 +87,15 @@ def as_core_query(query, core: str | None = None):
 class CSRGraph:
     """One immutable vertex-labeled graph in CSR form.
 
-    Read-API compatible with :class:`~repro.graphs.graph.Graph` for
-    every accessor the matcher and the index builders use; there is no
-    ``add_edge``.  Neighbor runs are sorted, so :meth:`neighbors`
-    returns ascending tuples and :meth:`has_edge` binary-searches a
-    contiguous slice.
+    Implements every read accessor of
+    :class:`~repro.graphs.protocol.LabeledGraph`, plus the raw array
+    accessors; there is no ``add_edge``.  Neighbor runs are sorted, so
+    :meth:`neighbors` returns ascending tuples and :meth:`has_edge`
+    binary-searches a contiguous slice.
 
     Per-graph caches (neighbor tuples and frozensets, label groups,
     neighbor-label counts) are filled lazily and amortize across every
-    query verified against the graph — the dict core recomputes the
-    same structures per (query, graph) pair.
+    query verified against the graph.
     """
 
     __slots__ = (
@@ -253,11 +221,8 @@ class CSRGraph:
         return self._indices[self._indptr[v] : self._indptr[v + 1]]
 
     def adjacency_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The raw ``(indptr, indices)`` pair (int64; do not write).
-
-        The handle the feature kernels
-        (:mod:`repro.features.kernels`) dispatch on and iterate over.
-        """
+        """The raw ``(indptr, indices)`` pair (int64; do not write) —
+        what the feature enumerations iterate over."""
         return self._indptr, self._indices
 
     def label_ids_array(self) -> np.ndarray:
@@ -323,8 +288,7 @@ class CSRGraph:
     def vertices_by_label(self) -> dict[Label, list[int]]:
         """Map each label to the list of vertices carrying it.
 
-        Cached and shared across callers — treat it as read-only (the
-        dict core returns a fresh dict; every caller only reads).
+        Cached and shared across callers — treat it as read-only.
         """
         if self._by_label is None:
             groups: dict[Label, list[int]] = {}
@@ -404,8 +368,8 @@ class CSRGraph:
 
         ``result[v][label]`` counts *v*'s neighbors carrying *label* —
         the dominance structure :class:`SubgraphMatcher` needs for its
-        lookahead, built per (query, graph) pair under the dict core
-        but amortized across the whole workload here.
+        lookahead, amortized across the whole workload (treat as
+        read-only).
         """
         if self._neighbor_label_counts is None:
             table = self._label_table
@@ -460,8 +424,8 @@ class CSRGraph:
         """The subgraph induced by *vertices* plus the vertex map.
 
         Returns a builder :class:`Graph` — projections are small,
-        short-lived, and immediately handed to the matcher, which
-        accepts either core.
+        short-lived, and immediately handed to the matcher, which is
+        written against the protocol both classes implement.
         """
         mapping = sorted(set(vertices))
         index_of = {v: i for i, v in enumerate(mapping)}
@@ -478,9 +442,9 @@ class CSRGraph:
     # ------------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        """Structural equality, across cores: same per-vertex labels and
-        same edge set.  Matches :class:`Graph` semantics, so a CSR view
-        of a graph compares equal to the dict graph it was packed from.
+        """Structural equality: same per-vertex labels and same edge
+        set.  Matches :class:`Graph` semantics, so a CSR view of a graph
+        compares equal to the builder graph it was packed from.
         """
         if isinstance(other, CSRGraph):
             return (

@@ -39,6 +39,9 @@ class Graph:
         Optional stable identifier (assigned by
         :class:`~repro.graphs.dataset.GraphDataset` on insertion).
 
+    Implements every read accessor of
+    :class:`~repro.graphs.protocol.LabeledGraph`.
+
     Examples
     --------
     >>> g = Graph(["C", "C", "O"], [(0, 1), (1, 2)])
@@ -273,14 +276,9 @@ class Graph:
     def candidate_vertices(self, label: Label, min_degree: int = 0) -> tuple[int, ...]:
         """Vertices with *label* and degree ≥ *min_degree*, ascending.
 
-        The dict-core twin of
-        :meth:`repro.graphs.csr.CSRGraph.candidate_vertices`, so the
-        matchers' ``getattr`` probe finds the same initial-domain API
-        on both cores.  The by-label grouping is computed once per
-        graph and cached — labels are fixed at construction, so the
-        cache never invalidates — which hoists the per-(query, data)
-        ``vertices_by_label()`` rebuild the matchers' fallback paths
-        used to pay.  Degrees grow under :meth:`add_edge`, so the
+        The by-label grouping is computed once per graph and cached —
+        labels are fixed at construction, so the cache never
+        invalidates.  Degrees grow under :meth:`add_edge`, so the
         degree filter runs per call; vertices it drops would fail the
         matchers' per-vertex degree feasibility checks anyway, making
         the filter answer-preserving.
@@ -299,6 +297,22 @@ class Graph:
         if min_degree <= 0:
             return members
         return tuple(v for v in members if len(self._adj[v]) >= min_degree)
+
+    def neighbor_label_counts(self) -> list[dict[Label, int]]:
+        """Per-vertex neighbor-label histograms.
+
+        ``result[v][label]`` counts *v*'s neighbors carrying *label*.
+        Recomputed per call: the graph is mutable, so nothing is cached.
+        """
+        labels = self._labels
+        out: list[dict[Label, int]] = []
+        for v in range(len(labels)):
+            counts: dict[Label, int] = {}
+            for w in self.neighbors(v):
+                lbl = labels[w]
+                counts[lbl] = counts.get(lbl, 0) + 1
+            out.append(counts)
+        return out
 
     def label_histogram(self) -> dict[Label, int]:
         """Map each label to the number of vertices carrying it."""

@@ -71,9 +71,7 @@ __all__ = [
     "REGIMES",
 ]
 
-#: The paper's regime: many small graphs, answers are graph ids
-#: (mirrors :data:`repro.core.knobs.TRANSACTIONAL`, duplicated as a
-#: literal to avoid a package import cycle).
+#: The paper's regime: many small graphs, answers are graph ids.
 TRANSACTIONAL = "transactional"
 #: The massive regime: one huge graph, answers are embedding roots.
 SINGLE_GRAPH = "single-graph"

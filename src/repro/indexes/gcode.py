@@ -49,6 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.graphs.csr import CSRGraph, as_core_query
 from repro.graphs.dataset import GraphDataset
 from repro.graphs.graph import Graph
 from repro.indexes.base import GraphIndex
@@ -129,8 +130,8 @@ class GCodeIndex(GraphIndex):
         #: Graph codes sorted by graph order (the "search tree").
         self._codes: list[_GraphCode] = []
         self._orders: list[int] = []
-        #: (label_table, bucket ids) for the CSR fast path; datasets
-        #: share one label table, so one hash pass covers every graph.
+        #: (label_table, bucket ids); datasets share one label table,
+        #: so one hash pass covers every graph.
         self._bucket_cache: tuple[object, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
@@ -139,20 +140,15 @@ class GCodeIndex(GraphIndex):
 
     def graph_code(self, graph: Graph, budget: Budget | None = None) -> _GraphCode:
         """Compute the full gCode of one graph."""
+        graph = as_core_query(graph)
         signatures = []
         for v in graph.vertices():
             if budget is not None and v % 64 == 0:
                 budget.check()
             signatures.append(self.vertex_signature(graph, v))
-        ids = getattr(graph, "label_ids_array", None)
-        if ids is not None:
-            label_counts = self._bucket_counts_from_ids(
-                self._bucket_array(graph), ids()
-            )
-        else:
-            label_counts = self._bucket_counts(
-                graph.label(v) for v in graph.vertices()
-            )
+        label_counts = self._bucket_counts_from_ids(
+            self._bucket_array(graph), graph.label_ids_array()
+        )
         return _GraphCode(
             graph_id=graph.graph_id if graph.graph_id is not None else -1,
             order=graph.order,
@@ -162,15 +158,11 @@ class GCodeIndex(GraphIndex):
 
     def vertex_signature(self, graph: Graph, vertex: int) -> VertexSignature:
         """Signature of one vertex: counters plus path-tree spectrum."""
-        ids = getattr(graph, "label_ids_array", None)
-        if ids is not None:
-            neighbor_counts = self._bucket_counts_from_ids(
-                self._bucket_array(graph), ids()[graph.neighbors_slice(vertex)]
-            )
-        else:
-            neighbor_counts = self._bucket_counts(
-                graph.label(w) for w in graph.neighbors(vertex)
-            )
+        graph = as_core_query(graph)
+        neighbor_counts = self._bucket_counts_from_ids(
+            self._bucket_array(graph),
+            graph.label_ids_array()[graph.neighbors_slice(vertex)],
+        )
         tree_labels, adjacency = self._path_tree(graph, vertex)
         tree_counts = self._bucket_counts(tree_labels)
         eigenvalues = self._top_eigenvalues(adjacency)
@@ -228,8 +220,8 @@ class GCodeIndex(GraphIndex):
                 counts[bucket] += 1
         return tuple(counts)
 
-    def _bucket_array(self, graph) -> np.ndarray:
-        """Bucket id per label-table entry, cached across CSR graphs."""
+    def _bucket_array(self, graph: CSRGraph) -> np.ndarray:
+        """Bucket id per label-table entry, cached across graphs."""
         table = graph.label_table
         cached = self._bucket_cache
         if cached is None or cached[0] is not table:
@@ -248,7 +240,7 @@ class GCodeIndex(GraphIndex):
         ``bincount`` then clamp matches the scalar saturating loop
         exactly: counts only grow, so clamping after the fact is the
         same as refusing increments past 255.  Counts come back as
-        Python ints so signatures stay byte-identical across cores.
+        Python ints (numpy scalars would change pickled artifacts).
         """
         counts = np.bincount(bucket_of[label_ids], minlength=self.counter_buckets)
         return tuple(np.minimum(counts, 255).tolist())

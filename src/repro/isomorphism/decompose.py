@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.graphs.graph import Graph
+from repro.graphs.protocol import LabeledGraph
 
 __all__ = [
     "STwig",
@@ -53,12 +53,12 @@ class STwig:
     leaves: tuple[int, ...]
 
 
-def _frequencies(data) -> dict:
+def _frequencies(data: LabeledGraph) -> dict:
     """Label → vertex count in the data graph (rarity ranking)."""
     return data.label_histogram()
 
 
-def decompose_query(query: Graph, data) -> list[STwig]:
+def decompose_query(query: LabeledGraph, data: LabeledGraph) -> list[STwig]:
     """Cut *query* into an edge cover of STwigs, rarest-root first.
 
     Greedy, per the paper's ``STwig-order``: repeatedly pick the vertex
@@ -105,7 +105,7 @@ def decompose_query(query: Graph, data) -> list[STwig]:
     return stwigs
 
 
-def match_order(query: Graph, data) -> tuple[int, ...]:
+def match_order(query: LabeledGraph, data: LabeledGraph) -> tuple[int, ...]:
     """Every query vertex once, in STwig exploration order.
 
     Roots first within each STwig, then its leaves — the order the
@@ -122,7 +122,7 @@ def match_order(query: Graph, data) -> tuple[int, ...]:
     return tuple(order)
 
 
-def embedding_root(query: Graph, data) -> int:
+def embedding_root(query: LabeledGraph, data: LabeledGraph) -> int:
     """The query vertex whose candidates are reported as embedding roots.
 
     The head of :func:`match_order` — the rarest, best-anchored vertex,
@@ -134,7 +134,7 @@ def embedding_root(query: Graph, data) -> int:
     return match_order(query, data)[0]
 
 
-def initial_domains(query: Graph, data) -> list[set[int]]:
+def initial_domains(query: LabeledGraph, data: LabeledGraph) -> list[set[int]]:
     """Label- and degree-feasible candidate domains per query vertex.
 
     The generic single-graph filter every index starts from (the twin
@@ -144,38 +144,15 @@ def initial_domains(query: Graph, data) -> list[set[int]]:
     *empty set* rather than aborting — the caller reports empty
     domains as an empty answer.
     """
-    pick = getattr(data, "candidate_vertices", None)
-    if pick is not None:
-        return [
-            set(pick(query.label(u), query.degree(u)))
-            for u in query.vertices()
-        ]
-    by_label = data.vertices_by_label()
     return [
-        {
-            d
-            for d in by_label.get(query.label(u), ())
-            if data.degree(d) >= query.degree(u)
-        }
+        set(data.candidate_vertices(query.label(u), query.degree(u)))
         for u in query.vertices()
     ]
 
 
-def _neighbor_counts_of(data, vertex: int) -> dict:
-    """Neighbor-label histogram of one data vertex (CSR cache or walk)."""
-    cached = getattr(data, "neighbor_label_counts", None)
-    if cached is not None:
-        return cached()[vertex]
-    counts: dict = {}
-    for w in data.neighbors(vertex):
-        label = data.label(w)
-        counts[label] = counts.get(label, 0) + 1
-    return counts
-
-
 def prune_domains(
-    query: Graph,
-    data,
+    query: LabeledGraph,
+    data: LabeledGraph,
     domains: list[set[int]],
     stwigs: Sequence[STwig] | None = None,
 ) -> list[set[int]]:
@@ -191,6 +168,7 @@ def prune_domains(
     pruned = [set(domain) for domain in domains]
     if stwigs is None:
         stwigs = decompose_query(query, data)
+    neighbor_counts = data.neighbor_label_counts()
     for stwig in stwigs:
         if not stwig.leaves:
             continue
@@ -200,7 +178,7 @@ def prune_domains(
             need[label] = need.get(label, 0) + 1
         keep = set()
         for v in pruned[stwig.root]:
-            counts = _neighbor_counts_of(data, v)
+            counts = neighbor_counts[v]
             if all(counts.get(label, 0) >= k for label, k in need.items()):
                 keep.add(v)
         pruned[stwig.root] = keep

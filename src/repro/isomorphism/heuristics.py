@@ -17,12 +17,14 @@ Two strategies are provided:
 from __future__ import annotations
 
 from repro.canonical.order import label_key
-from repro.graphs.graph import Graph
+from repro.graphs.protocol import LabeledGraph
 
 __all__ = ["connectivity_order", "frequency_degree_order"]
 
 
-def connectivity_order(query: Graph, data: Graph | None = None) -> list[int]:
+def connectivity_order(
+    query: LabeledGraph, data: LabeledGraph | None = None
+) -> list[int]:
     """Order query vertices connectivity-first, by increasing id.
 
     Starts each component at its smallest vertex id and grows by always
@@ -46,7 +48,9 @@ def connectivity_order(query: Graph, data: Graph | None = None) -> list[int]:
     return ordered
 
 
-def frequency_degree_order(query: Graph, data: Graph | None = None) -> list[int]:
+def frequency_degree_order(
+    query: LabeledGraph, data: LabeledGraph | None = None
+) -> list[int]:
     """CT-Index-style ordering: rare labels and high degrees first.
 
     The first vertex of each component is the one whose label is rarest

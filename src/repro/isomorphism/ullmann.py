@@ -9,22 +9,21 @@ data neighbors.  Refinement propagates to a fixpoint, pruning far from
 the failure point — at the cost of touching the whole matrix per node
 of the search tree.
 
-Two engines implement identical semantics:
+Candidate domains are packed uint64 rows, one bit per data vertex;
+refinement is numpy bitwise AND + ``any`` over whole rows against the
+data graph's packed adjacency bit matrix (cached on the
+:class:`~repro.graphs.csr.CSRGraph`).  The original per-vertex
+``set[int]`` engine lives on as the differential reference in
+``tests/oracles.py``: both explore the *same* search tree (candidates
+are iterated ascending, refinement passes visit query vertices in the
+same order, and a domain emptied at the same step fails at the same
+step), so accept/reject answers *and* budget poll counts match exactly
+— pinned by ``tests/test_ullmann.py``.
 
-* **bitset** (default) — candidate domains are packed uint64 rows, one
-  bit per data vertex; refinement is numpy bitwise AND + ``any`` over
-  whole rows, and the data adjacency is a packed bit matrix built once
-  per (query, data) pair.  This is the CSR-era hot path.
-* **set** — the original per-vertex ``set[int]`` domains, kept as the
-  differential oracle: both engines explore the *same* search tree
-  (candidates are iterated ascending, refinement passes visit query
-  vertices in the same order, and a domain emptied at the same step
-  fails at the same step), so accept/reject answers *and* budget poll
-  counts match exactly — pinned by ``tests/test_ullmann.py``.
-
-The library verifies with VF2 everywhere (as every benchmarked system
-does, §2.2); Ullmann exists for the verification-algorithm ablation in
-``benchmarks/`` and as an independent oracle in tests.  Semantics are
+The transactional regime verifies with VF2 everywhere (as every
+benchmarked system does, §2.2); Ullmann verifies pinned embedding roots
+in the single-graph regime, runs in the verification-algorithm ablation
+in ``benchmarks/``, and is an independent oracle in tests.  Semantics are
 identical to :mod:`repro.isomorphism.vf2`: subgraph *monomorphism* per
 the paper's Definition 3.
 """
@@ -33,7 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.graph import Graph
+from repro.graphs.csr import as_core_query
+from repro.graphs.protocol import LabeledGraph
 from repro.utils.budget import Budget
 
 __all__ = ["ullmann_is_subgraph"]
@@ -41,25 +41,17 @@ __all__ = ["ullmann_is_subgraph"]
 #: Search-tree nodes between budget polls.
 _BUDGET_POLL_INTERVAL = 512
 
-#: Recognized engines, default first.
-_ENGINES = ("bitset", "set")
-
 _ONE = np.uint64(1)
 _WORD_BITS = 64
 
 
 def ullmann_is_subgraph(
-    query: Graph,
-    data: Graph,
+    query: LabeledGraph,
+    data: LabeledGraph,
     budget: Budget | None = None,
-    engine: str | None = None,
     domains: list[set[int]] | None = None,
 ) -> bool:
     """True iff *query* is subgraph-monomorphic to *data* (Def. 3).
-
-    *engine* selects the domain representation (``bitset`` by default,
-    ``set`` for the legacy sets) — an ablation/testing knob; both
-    engines return identical answers with identical budget semantics.
 
     *domains*, when given, constrains the search: query vertex ``u``
     may only map into ``domains[u]`` (intersected with the built-in
@@ -67,11 +59,6 @@ def ullmann_is_subgraph(
     roots and narrows candidates this way; ``None`` leaves the classic
     search — and its budget poll counts — untouched.
     """
-    if engine is None:
-        engine = _ENGINES[0]
-    if engine not in _ENGINES:
-        known = ", ".join(_ENGINES)
-        raise ValueError(f"unknown engine {engine!r}; expected one of {known}")
     if query.order == 0:
         return True
     if query.order > data.order or query.size > data.size:
@@ -90,164 +77,52 @@ def ullmann_is_subgraph(
             feasible &= domains[u]
             if not feasible:
                 return False
-    if engine == "set":
-        state = _State(query, data, budget)
-        return state.search(0, candidates, set())
     bitset_state = _BitsetState(query, data, budget)
     return bitset_state.search(0, bitset_state.pack(candidates), set())
 
 
-def _initial_candidates(query: Graph, data: Graph) -> list[set[int]] | None:
-    """Degree- and label-feasible candidate sets per query vertex.
-
-    Computed once per (query, data) pair: both cores expose
-    ``candidate_vertices`` (the CSR core as one vectorized label+degree
-    mask, the dict core over its cached label groups), with a plain
-    ``vertices_by_label`` sweep as the fallback for bare read-API
-    graphs in tests.
-    """
-    pick = getattr(data, "candidate_vertices", None)
-    if pick is not None:
-        candidates: list[set[int]] = []
-        for u in query.vertices():
-            feasible = set(pick(query.label(u), query.degree(u)))
-            if not feasible:
-                return None
-            candidates.append(feasible)
-        return candidates
-    by_label = data.vertices_by_label()
-    candidates = []
+def _initial_candidates(
+    query: LabeledGraph, data: LabeledGraph
+) -> list[set[int]] | None:
+    """Degree- and label-feasible candidate sets per query vertex, or
+    ``None`` as soon as one is empty (computed once per pair)."""
+    candidates: list[set[int]] = []
     for u in query.vertices():
-        feasible = {
-            d
-            for d in by_label.get(query.label(u), ())
-            if data.degree(d) >= query.degree(u)
-        }
+        feasible = set(data.candidate_vertices(query.label(u), query.degree(u)))
         if not feasible:
             return None
         candidates.append(feasible)
     return candidates
 
 
-class _State:
-    """The set-domain engine (differential oracle)."""
-
-    __slots__ = ("query", "data", "budget", "nodes")
-
-    def __init__(self, query: Graph, data: Graph, budget: Budget | None) -> None:
-        self.query = query
-        self.data = data
-        self.budget = budget
-        self.nodes = 0
-
-    def search(
-        self, position: int, candidates: list[set[int]], used: set[int]
-    ) -> bool:
-        if position == self.query.order:
-            return True
-        self._poll()
-        for d in sorted(candidates[position]):
-            if d in used:
-                continue
-            narrowed = self._assign(position, d, candidates)
-            if narrowed is None:
-                continue
-            used.add(d)
-            if self.search(position + 1, narrowed, used):
-                used.discard(d)
-                return True
-            used.discard(d)
-        return False
-
-    def _assign(
-        self, position: int, d: int, candidates: list[set[int]]
-    ) -> list[set[int]] | None:
-        """Pin query vertex *position* to *d* and refine to fixpoint."""
-        narrowed = [set(c) for c in candidates]
-        narrowed[position] = {d}
-        # Monomorphism constraint: query neighbors of `position` must
-        # map into data neighbors of d (and not onto d — injectivity).
-        for u in self.query.neighbors(position):
-            narrowed[u] &= self.data.neighbor_set(d)
-            narrowed[u].discard(d)
-            if not narrowed[u]:
-                return None
-        return self._refine(narrowed)
-
-    def _refine(self, candidates: list[set[int]]) -> list[set[int]] | None:
-        """Ullmann refinement to fixpoint.
-
-        A candidate ``d`` for query vertex ``u`` survives only if every
-        query neighbor of ``u`` has at least one candidate adjacent to
-        ``d`` in the data graph.
-        """
-        changed = True
-        while changed:
-            changed = False
-            for u in self.query.vertices():
-                doomed = []
-                for d in candidates[u]:
-                    for w in self.query.neighbors(u):
-                        if not (candidates[w] & self.data.neighbor_set(d)):
-                            doomed.append(d)
-                            break
-                if doomed:
-                    candidates[u] -= set(doomed)
-                    if not candidates[u]:
-                        return None
-                    changed = True
-        return candidates
-
-    def _poll(self) -> None:
-        if self.budget is None:
-            return
-        self.nodes += 1
-        if self.nodes % _BUDGET_POLL_INTERVAL == 0:
-            self.budget.check()
-
-
 class _BitsetState:
-    """The packed-uint64 domain engine (default).
+    """The packed-uint64 domain engine.
 
     Domains are a ``(query.order, words)`` uint64 matrix — bit ``d`` of
     row ``u`` set iff data vertex ``d`` is a candidate for query vertex
     ``u`` — refined against a data adjacency bit matrix of the same
-    width.  The search tree is identical to the set engine's: bits are
-    iterated ascending (``sorted(candidates[position])``), refinement
-    passes visit query vertices in the same order, and a pass dooms
-    exactly the candidates the set engine's inner loop would.
+    width.  The search tree is identical to the reference set engine's
+    (``tests/oracles.py``): bits are iterated ascending
+    (``sorted(candidates[position])``), refinement passes visit query
+    vertices in the same order, and a pass dooms exactly the candidates
+    the set engine's inner loop would.
     """
 
     __slots__ = ("query", "data", "budget", "nodes", "words", "adj", "qneighbors")
 
-    def __init__(self, query: Graph, data: Graph, budget: Budget | None) -> None:
+    def __init__(
+        self, query: LabeledGraph, data: LabeledGraph, budget: Budget | None
+    ) -> None:
         self.query = query
         self.data = data
         self.budget = budget
         self.nodes = 0
         self.words = (data.order + _WORD_BITS - 1) // _WORD_BITS
-        self.adj = self._adjacency_matrix(data)
+        # The packed matrix is a cached structure of the CSR graph (one
+        # vectorized scatter, amortized across the workload).
+        self.adj = as_core_query(data).adjacency_bitmatrix()
         #: Query adjacency as plain int lists, for the refinement loop.
         self.qneighbors = [list(query.neighbors(u)) for u in query.vertices()]
-
-    def _adjacency_matrix(self, data: Graph) -> np.ndarray:
-        # A CSR host carries the packed matrix as a cached structure
-        # (one vectorized scatter, amortized across the workload).
-        cached = getattr(data, "adjacency_bitmatrix", None)
-        if cached is not None:
-            return cached()
-        matrix = np.zeros((data.order, self.words), dtype=np.uint64)
-        edge_list = list(data.edges())
-        if edge_list:
-            half = np.asarray(edge_list, dtype=np.int64)
-            rows = np.concatenate([half[:, 0], half[:, 1]])
-            cols = np.concatenate([half[:, 1], half[:, 0]])
-            np.bitwise_or.at(
-                matrix,
-                (rows, cols >> 6),
-                _ONE << (cols & 63).astype(np.uint64),
-            )
-        return matrix
 
     def pack(self, candidates: list[set[int]]) -> np.ndarray:
         """Pack per-vertex candidate sets into domain bit rows."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 
-from repro.graphs.graph import Graph
+from repro.graphs.protocol import LabeledGraph
 from repro.isomorphism.heuristics import connectivity_order
 from repro.utils.budget import Budget
 
@@ -37,7 +37,7 @@ __all__ = ["SubgraphMatcher", "is_subgraph", "find_embedding", "count_embeddings
 #: How many search-tree nodes between budget polls.
 _BUDGET_POLL_INTERVAL = 2048
 
-VertexOrder = Callable[[Graph, Graph | None], list[int]]
+VertexOrder = Callable[[LabeledGraph, LabeledGraph | None], list[int]]
 
 
 class SubgraphMatcher:
@@ -57,8 +57,8 @@ class SubgraphMatcher:
 
     def __init__(
         self,
-        query: Graph,
-        data: Graph,
+        query: LabeledGraph,
+        data: LabeledGraph,
         ordering: VertexOrder = connectivity_order,
         budget: Budget | None = None,
     ) -> None:
@@ -74,20 +74,11 @@ class SubgraphMatcher:
             [w for w in query.neighbors(v) if position_of[w] < i]
             for i, v in enumerate(self._order)
         ]
-        self._data_labels = data.vertices_by_label()
-        self._query_neighbor_labels = [
-            _label_counts(query, v) for v in query.vertices()
-        ]
-        # The CSR core amortizes the per-vertex neighbor-label counts
-        # (and the label groups above) across every matcher built on
-        # the same data graph; the dict core recomputes them per pair.
-        data_counts = getattr(data, "neighbor_label_counts", None)
-        self._data_neighbor_labels = (
-            data_counts()
-            if data_counts is not None
-            else [_label_counts(data, v) for v in data.vertices()]
-        )
-        self._root_candidates = getattr(data, "candidate_vertices", None)
+        self._query_neighbor_labels = query.neighbor_label_counts()
+        # A CSRGraph amortizes these across every matcher built on the
+        # same data graph; a builder Graph (Grapes' component
+        # projections) recomputes them per pair.
+        self._data_neighbor_labels = data.neighbor_label_counts()
 
     # ------------------------------------------------------------------
     # public API
@@ -160,13 +151,11 @@ class SubgraphMatcher:
         anchors = self._mapped_neighbors[position]
         if not anchors:
             # New component root: any data vertex with the right label
-            # (the CSR core also mask-filters by degree in one shot;
-            # vertices dropped would fail _feasible's degree rule).
-            if self._root_candidates is not None:
-                return self._root_candidates(
-                    self.query.label(q_vertex), self.query.degree(q_vertex)
-                )
-            return self._data_labels.get(self.query.label(q_vertex), ())
+            # and enough degree (vertices dropped here would fail
+            # _feasible's degree rule anyway).
+            return self.data.candidate_vertices(
+                self.query.label(q_vertex), self.query.degree(q_vertex)
+            )
         # Intersect the data adjacencies of the mapped anchor images,
         # starting from the smallest to keep the working set tiny.
         neighbor_sets = sorted(
@@ -220,22 +209,14 @@ class SubgraphMatcher:
             self._budget.check()
 
 
-def _label_counts(graph: Graph, vertex: int) -> dict[object, int]:
-    counts: dict[object, int] = {}
-    for w in graph.neighbors(vertex):
-        lbl = graph.label(w)
-        counts[lbl] = counts.get(lbl, 0) + 1
-    return counts
-
-
 # ----------------------------------------------------------------------
 # module-level conveniences
 # ----------------------------------------------------------------------
 
 
 def is_subgraph(
-    query: Graph,
-    data: Graph,
+    query: LabeledGraph,
+    data: LabeledGraph,
     ordering: VertexOrder = connectivity_order,
     budget: Budget | None = None,
 ) -> bool:
@@ -244,8 +225,8 @@ def is_subgraph(
 
 
 def find_embedding(
-    query: Graph,
-    data: Graph,
+    query: LabeledGraph,
+    data: LabeledGraph,
     ordering: VertexOrder = connectivity_order,
     budget: Budget | None = None,
 ) -> dict[int, int] | None:
@@ -254,8 +235,8 @@ def find_embedding(
 
 
 def count_embeddings(
-    query: Graph,
-    data: Graph,
+    query: LabeledGraph,
+    data: LabeledGraph,
     limit: int | None = None,
     ordering: VertexOrder = connectivity_order,
     budget: Budget | None = None,

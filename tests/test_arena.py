@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from repro.core.arena import (
     ArenaHandle,
     DatasetArena,
-    attach_dataset,
+    attach_csr_dataset,
     cached_dataset,
     clear_worker_caches,
     live_arenas,
@@ -195,7 +195,7 @@ class TestPackRoundTrip:
         dataset = GraphDataset(graphs, name="hyp")
         arena = DatasetArena.create(dataset)
         try:
-            back = attach_dataset(arena.handle)
+            back = attach_csr_dataset(arena.handle)
         finally:
             arena.close()
         assert len(back) == len(dataset) and back.name == "hyp"
@@ -226,7 +226,7 @@ class TestArenaLifecycle:
         assert handle.total_edges == dataset.total_edges()
         assert handle.fingerprint == dataset_fingerprint(dataset)
         assert handle.shm_name in live_arenas()
-        attached = attach_dataset(handle)
+        attached = attach_csr_dataset(handle)
         assert list(attached) == list(dataset)
         arena.close()
         assert handle.shm_name not in live_arenas()
@@ -237,7 +237,7 @@ class TestArenaLifecycle:
         arena = DatasetArena.create(dataset)
         arena.close()
         with pytest.raises(FileNotFoundError):
-            attach_dataset(arena.handle)
+            attach_csr_dataset(arena.handle)
 
     def test_cached_dataset_attaches_once(self, dataset):
         clear_worker_caches()

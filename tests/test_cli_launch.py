@@ -466,16 +466,6 @@ class TestPendingReport:
 
 
 class TestLaunchErrors:
-    def test_fleet_executor_stubs_fail_loudly(
-        self, tiny_profile, tmp_path, capsys
-    ):
-        for name in ("ssh", "k8s"):
-            assert main(
-                ["launch", "graphs", "--executor", name, "--json",
-                 str(tmp_path / "x.json")]
-            ) == 2
-            assert "documented stub" in capsys.readouterr().err
-
     def test_bad_shards_and_jobs(self, tiny_profile, tmp_path, capsys):
         assert main(
             ["launch", "graphs", "--shards", "0", "--json",

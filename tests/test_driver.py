@@ -20,9 +20,7 @@ from repro.core.driver import (
     DriverRun,
     EXECUTORS,
     InProcessExecutor,
-    KubernetesExecutor,
     LocalSubprocessExecutor,
-    SSHExecutor,
     append_history,
     assign_shards,
     balanced_partition,
@@ -253,18 +251,13 @@ class TestPartitions:
 
 class TestExecutors:
     def test_registry_names(self):
-        assert set(EXECUTORS) == {"local", "inprocess", "ssh", "k8s"}
+        assert set(EXECUTORS) == {"local", "inprocess"}
         for name in EXECUTORS:
             assert make_executor(name).name == name
 
     def test_unknown_executor(self):
         with pytest.raises(DriverError, match="unknown executor"):
             make_executor("slurm")
-
-    @pytest.mark.parametrize("cls", [SSHExecutor, KubernetesExecutor])
-    def test_fleet_stubs_point_at_the_docs(self, cls):
-        with pytest.raises(DriverError, match="documented stub"):
-            cls().run([])
 
     def test_concrete_executors_are_shard_executors(self):
         from repro.core.driver import ShardExecutor

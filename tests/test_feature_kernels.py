@@ -1,28 +1,27 @@
-"""Differential parity: CSR feature kernels vs the dict walk.
+"""Differential parity: the array feature kernels vs the reference walks.
 
-The CSR kernels (`repro.features.kernels`) promise *byte-identity* with
-the dict-walk enumerations, not mere set-equality: same feature
-multisets, same occurrence counts, same start-vertex sets, same dict
-insertion order, same generator yield order.  This suite pins that
-promise with hypothesis over random labeled graphs — disconnected and
-empty inputs included — plus the budget contract (both cores poll at
-the same per-start granularity, so exhaustion interrupts both at the
-same point) and the `REPRO_FEATURE_CORE` dispatch itself.
+The enumerations in ``repro.features`` promise *byte-identity* with the
+recursive walks kept in ``tests/oracles.py``, not mere set-equality:
+same feature multisets, same occurrence counts, same start-vertex sets,
+same dict insertion order, same generator yield order.  This suite pins
+that promise with hypothesis over random labeled graphs — disconnected
+and empty inputs included — plus the budget contract (kernel and walk
+poll at the same per-start granularity, so exhaustion interrupts both
+at the same point) and the admission of builder ``Graph`` inputs.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.features import FEATURE_CORE_ENV, active_feature_core
 from repro.features.cycles import enumerate_simple_cycles
-from repro.features.kernels import csr_adjacency, csr_edge_list
 from repro.features.paths import path_features
-from repro.features.trees import connected_edge_subsets, enumerate_trees
+from repro.features.trees import _edge_list, connected_edge_subsets, enumerate_trees
 from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph
 from repro.utils.budget import Budget, BudgetExceeded
 
+from oracles import walk_edge_list, walk_path_features, walk_simple_cycles
 from testkit import path_graph, random_graph, triangle
 
 
@@ -63,43 +62,21 @@ class _CountingBudget:
             raise BudgetExceeded(0.0, phase="poll limit reached")
 
 
-class TestDispatch:
-    def test_default_core_is_csr(self, monkeypatch):
-        monkeypatch.delenv(FEATURE_CORE_ENV, raising=False)
-        assert active_feature_core() == "csr"
-
-    def test_env_selects_dict(self, monkeypatch):
-        monkeypatch.setenv(FEATURE_CORE_ENV, "dict")
-        assert active_feature_core() == "dict"
-
-    def test_unknown_env_value_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv(FEATURE_CORE_ENV, "nonsense")
-        assert active_feature_core() == "csr"
-
-    def test_dict_graph_never_engages_kernels(self):
-        assert csr_adjacency(path_graph("AB")) is None
-
-    def test_csr_graph_engages_kernels_only_under_csr_core(self, monkeypatch):
-        host = CSRGraph.from_graph(path_graph("AB"))
-        monkeypatch.delenv(FEATURE_CORE_ENV, raising=False)
-        assert csr_adjacency(host) is not None
-        monkeypatch.setenv(FEATURE_CORE_ENV, "dict")
-        assert csr_adjacency(host) is None
-
-
 class TestPathParity:
     @settings(max_examples=80, deadline=None)
     @given(graph=labeled_graphs(), max_edges=st.integers(0, 4))
     def test_counts_and_starts_identical(self, graph, max_edges):
         host = CSRGraph.from_graph(graph)
-        expected = path_features(graph, max_edges)
+        expected = walk_path_features(host, max_edges)
         _assert_paths_identical(expected, path_features(host, max_edges))
+        # A builder graph is admitted to CSR first: identical result.
+        _assert_paths_identical(expected, path_features(graph, max_edges))
 
     @settings(max_examples=40, deadline=None)
     @given(graph=labeled_graphs(max_vertices=6))
     def test_vertex_exclusion_identical(self, graph):
         host = CSRGraph.from_graph(graph)
-        expected = path_features(graph, 2, include_vertices=False)
+        expected = walk_path_features(host, 2, include_vertices=False)
         _assert_paths_identical(
             expected, path_features(host, 2, include_vertices=False)
         )
@@ -108,7 +85,7 @@ class TestPathParity:
         graph = Graph("ABAB", [(0, 1), (2, 3)])
         host = CSRGraph.from_graph(graph)
         _assert_paths_identical(
-            path_features(graph, 3), path_features(host, 3)
+            walk_path_features(host, 3), path_features(host, 3)
         )
 
     def test_empty_graph(self):
@@ -119,22 +96,24 @@ class TestPathParity:
         graph = Graph("AB", [])
         host = CSRGraph.from_graph(graph)
         _assert_paths_identical(
-            path_features(graph, 2), path_features(host, 2)
+            walk_path_features(host, 2), path_features(host, 2)
         )
 
     def test_negative_max_edges_rejected_on_csr_host(self):
         with pytest.raises(ValueError):
             path_features(CSRGraph.from_graph(path_graph("AB")), -1)
 
-    def test_dict_core_fallback_identical_on_csr_host(self, monkeypatch, rng):
+    def test_walk_over_builder_graph_agrees_up_to_order(self, rng):
+        """On the builder graph itself the walk visits neighbors in
+        set-iteration order, so only the aggregates must agree."""
         for _ in range(10):
             graph = random_graph(rng, 1, 7)
-            host = CSRGraph.from_graph(graph)
-            monkeypatch.setenv(FEATURE_CORE_ENV, "csr")
-            via_kernel = path_features(host, 3)
-            monkeypatch.setenv(FEATURE_CORE_ENV, "dict")
-            via_walk = path_features(host, 3)
-            _assert_paths_identical(via_walk, via_kernel)
+            via_walk = walk_path_features(graph, 3)
+            via_kernel = path_features(graph, 3)
+            assert set(via_kernel) == set(via_walk)
+            for key, entry in via_walk.items():
+                assert via_kernel[key].count == entry.count
+                assert via_kernel[key].starts == entry.starts
 
 
 class TestCycleAndTreeParity:
@@ -142,9 +121,9 @@ class TestCycleAndTreeParity:
     @given(graph=labeled_graphs(), max_edges=st.integers(3, 6))
     def test_cycle_sequences_identical(self, graph, max_edges):
         host = CSRGraph.from_graph(graph)
-        assert list(enumerate_simple_cycles(host, max_edges)) == list(
-            enumerate_simple_cycles(graph, max_edges)
-        )
+        expected = list(walk_simple_cycles(host, max_edges))
+        assert list(enumerate_simple_cycles(host, max_edges)) == expected
+        assert list(enumerate_simple_cycles(graph, max_edges)) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(graph=labeled_graphs(max_vertices=6), max_edges=st.integers(1, 3))
@@ -166,9 +145,8 @@ class TestCycleAndTreeParity:
         for _ in range(20):
             graph = random_graph(rng, 1, 8)
             host = CSRGraph.from_graph(graph)
-            assert csr_edge_list(host) == [
-                (u, v) if u < v else (v, u) for u, v in host.edges()
-            ]
+            assert _edge_list(host) == walk_edge_list(host)
+            assert _edge_list(graph) == walk_edge_list(host)
 
     def test_cycles_below_three_edges_empty(self):
         host = CSRGraph.from_graph(triangle("AAA"))
@@ -181,32 +159,32 @@ class TestBudgetParity:
         host = CSRGraph.from_graph(graph)
         dict_budget = _CountingBudget()
         csr_budget = _CountingBudget()
-        path_features(graph, 3, budget=dict_budget)
+        walk_path_features(graph, 3, budget=dict_budget)
         path_features(host, 3, budget=csr_budget)
         assert csr_budget.checks == dict_budget.checks == graph.order
 
     def test_paths_exhaustion_interrupts_both_cores(self, rng):
         graph = random_graph(rng, 4, 8)
         host = CSRGraph.from_graph(graph)
-        for target in (graph, host):
+        for enumerate_paths in (walk_path_features, path_features):
             with pytest.raises(BudgetExceeded):
-                path_features(target, 3, budget=_CountingBudget(limit=2))
+                enumerate_paths(host, 3, budget=_CountingBudget(limit=2))
 
     def test_cycles_poll_once_per_anchor_on_both_cores(self, rng):
         graph = random_graph(rng, 4, 8, connected=True)
         host = CSRGraph.from_graph(graph)
         dict_budget = _CountingBudget()
         csr_budget = _CountingBudget()
-        list(enumerate_simple_cycles(graph, 5, budget=dict_budget))
+        list(walk_simple_cycles(graph, 5, budget=dict_budget))
         list(enumerate_simple_cycles(host, 5, budget=csr_budget))
         assert csr_budget.checks == dict_budget.checks == graph.order
 
     def test_cycles_exhaustion_interrupts_both_cores(self, rng):
         graph = random_graph(rng, 5, 9, connected=True)
         host = CSRGraph.from_graph(graph)
-        for target in (graph, host):
+        for enumerate_cycles in (walk_simple_cycles, enumerate_simple_cycles):
             with pytest.raises(BudgetExceeded):
-                list(enumerate_simple_cycles(target, 5, budget=_CountingBudget(limit=2)))
+                list(enumerate_cycles(host, 5, budget=_CountingBudget(limit=2)))
 
     def test_expired_real_budget_raises_on_csr_host(self):
         import time

@@ -1,22 +1,22 @@
-"""PR 6: the CSR graph core — byte-identical to the dict builder.
+"""The one graph core: CSR in production, one protocol for both classes.
 
 Four properties are pinned here:
 
-1. **Accessor parity** — :class:`CSRGraph` answers every read accessor
-   (labels, degrees, sorted neighbors, edges, label groups, components,
-   induced subgraphs) exactly like the dict :class:`Graph` it was built
-   from, and its vectorized extras (``candidate_vertices``,
-   ``neighbor_label_counts``) match brute force over the dict graph.
+1. **Protocol conformance** — :class:`Graph` and :class:`CSRGraph` both
+   implement every accessor of
+   :class:`repro.graphs.protocol.LabeledGraph`, and every accessor
+   agrees with brute force over the labels and edge list the graph was
+   built from.
 2. **Transport parity** — ``CSRDataset.from_packed`` over the arena
    wire format reconstructs the same graphs as ``from_dataset`` over
-   the unpacked dict graphs, and the worker-side cache keys attachments
-   per core.
-3. **Byte identity** — for *all seven* index methods, a cell evaluated
-   under the CSR core canonicalizes to exactly the same JSON as under
-   the dict core: same statuses, candidate and answer counts,
+   the builder graphs.
+3. **Byte identity** — for every roster method, a builder
+   ``GraphDataset`` fed to the index directly canonicalizes to exactly
+   the same cell JSON as the ``as_core_dataset`` conversion the
+   production paths run on: same statuses, candidate and answer counts,
    false-positive ratios, index sizes, and build details.
 4. **Matcher parity** — a hypothesis property: VF2 enumerates the same
-   embedding set and Ullmann the same boolean on CSR and dict hosts
+   embedding set and Ullmann the same boolean on CSR and builder hosts
    over random labeled graphs, including disconnected queries and
    label-disjoint early exits.
 """
@@ -29,26 +29,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.arena import (
-    DatasetArena,
-    attach_csr_dataset,
-    attach_dataset,
-    cached_dataset,
-    clear_worker_caches,
+from repro.core.arena import DatasetArena, attach_csr_dataset
+from repro.core.metrics import summarize_results
+from repro.core.runner import (
+    STATUS_OK,
+    MethodCell,
+    SizeStats,
+    evaluate_method,
+    make_method,
 )
-from repro.core.runner import evaluate_method, make_method
 from repro.core.serialization import canonical_cell
 from repro.generators.graphgen import GraphGenConfig, generate_dataset
 from repro.generators.queries import generate_queries
-from repro.graphs.csr import (
-    GRAPH_CORE_ENV,
-    CSRDataset,
-    CSRGraph,
-    active_graph_core,
-    as_core_dataset,
-)
-from repro.graphs.dataset import pack_dataset
+from repro.graphs.csr import CSRDataset, CSRGraph, as_core_dataset, as_core_query
+from repro.graphs.dataset import pack_dataset, unpack_dataset
 from repro.graphs.graph import Graph
+from repro.graphs.protocol import LabeledGraph
 from repro.indexes import ALL_INDEX_CLASSES
 from repro.isomorphism import SubgraphMatcher, ullmann_is_subgraph
 
@@ -89,63 +85,89 @@ def csr(dataset):
 
 
 # ----------------------------------------------------------------------
-# core selection
+# protocol conformance
 # ----------------------------------------------------------------------
 
-
-class TestCoreToggle:
-    def test_default_is_csr(self, monkeypatch):
-        monkeypatch.delenv(GRAPH_CORE_ENV, raising=False)
-        assert active_graph_core() == "csr"
-
-    def test_env_selects_dict(self, monkeypatch):
-        monkeypatch.setenv(GRAPH_CORE_ENV, "dict")
-        assert active_graph_core() == "dict"
-
-    def test_unrecognized_value_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv(GRAPH_CORE_ENV, "linked-list")
-        assert active_graph_core() == "csr"
-
-    def test_as_core_dataset_is_idempotent(self, dataset, monkeypatch):
-        monkeypatch.setenv(GRAPH_CORE_ENV, "csr")
-        converted = as_core_dataset(dataset)
-        assert isinstance(converted, CSRDataset)
-        assert as_core_dataset(converted) is converted
-
-    def test_dict_core_passes_datasets_through(self, dataset, monkeypatch):
-        monkeypatch.setenv(GRAPH_CORE_ENV, "dict")
-        assert as_core_dataset(dataset) is dataset
+#: The read-only accessor set, as declared (once) by the protocol.
+PROTOCOL = sorted(name for name in vars(LabeledGraph) if not name.startswith("_"))
 
 
-# ----------------------------------------------------------------------
-# accessor parity
-# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def implementations(dataset):
+    """``(graph under test, labels, edge set)`` per module graph, once
+    per implementation — the single {Graph, CSRGraph} table every
+    conformance test below iterates.  Each graph is rebuilt from its
+    plain ``(labels, edges)`` spec, which is the brute-force truth."""
+    out = []
+    for source in dataset:
+        labels, edges = source.labels, set(source.edges())
+        for convert in (lambda g: g, as_core_query):
+            out.append((convert(Graph(labels, sorted(edges))), labels, edges))
+    assert {type(graph) for graph, _, _ in out} == {Graph, CSRGraph}
+    return out
+
+
+def _adjacent(edges, n):
+    rows = [set() for _ in range(n)]
+    for u, v in edges:
+        rows[u].add(v)
+        rows[v].add(u)
+    return rows
 
 
 class TestAccessorParity:
-    def test_read_api_matches_dict_graph(self, dataset, csr):
-        for g, c in zip(dataset, csr):
-            assert c.graph_id == g.graph_id
-            assert c.order == g.order and c.size == g.size
-            assert c.labels == g.labels
-            assert c.density() == pytest.approx(g.density())
-            assert c.average_degree() == pytest.approx(g.average_degree())
-            for v in g.vertices():
-                assert c.label(v) == g.label(v)
-                assert c.degree(v) == g.degree(v)
-                assert list(c.neighbors(v)) == sorted(g.neighbor_set(v))
-                assert c.neighbor_set(v) == frozenset(g.neighbor_set(v))
-                for w in g.vertices():
-                    assert c.has_edge(v, w) == g.has_edge(v, w)
-            assert set(c.edges()) == set(g.edges())
-            assert c.vertices_by_label() == g.vertices_by_label()
-            assert c.label_histogram() == g.label_histogram()
-            assert c.distinct_labels() == g.distinct_labels()
-            assert sorted(map(sorted, c.connected_components())) == sorted(
-                map(sorted, g.connected_components())
-            )
-            assert c.is_connected() == g.is_connected()
-            assert c == g
+    def test_protocol_names_the_whole_accessor_set(self):
+        assert PROTOCOL == sorted(
+            "order size label labels neighbors neighbor_set degree has_edge "
+            "vertices edges vertices_by_label candidate_vertices "
+            "neighbor_label_counts label_histogram distinct_labels "
+            "connected_components is_connected induced_subgraph".split()
+        )
+
+    def test_every_accessor_exists(self, implementations):
+        for graph, _, _ in implementations:
+            missing = [name for name in PROTOCOL if not hasattr(graph, name)]
+            assert not missing
+
+    def test_read_api_matches_dict_graph(self, implementations):
+        """Every structural accessor against brute force."""
+        for graph, labels, edges in implementations:
+            n = len(labels)
+            rows = _adjacent(edges, n)
+            assert graph.order == n and graph.size == len(edges)
+            assert graph.labels == tuple(labels)
+            assert graph.vertices() == range(n)
+            for v in range(n):
+                assert graph.label(v) == labels[v]
+                assert graph.degree(v) == len(rows[v])
+                assert sorted(graph.neighbors(v)) == sorted(rows[v])
+                assert isinstance(graph.neighbors(v), tuple)
+                assert graph.neighbor_set(v) == rows[v]
+                for w in range(n):
+                    assert graph.has_edge(v, w) == (w in rows[v])
+            assert sorted(graph.edges()) == sorted(edges)
+            groups: dict = {}
+            for v, label in enumerate(labels):
+                groups.setdefault(label, []).append(v)
+            assert graph.vertices_by_label() == groups
+            assert graph.label_histogram() == {
+                label: len(members) for label, members in groups.items()
+            }
+            assert graph.distinct_labels() == set(labels)
+
+    def test_connectivity_matches_brute_force(self, implementations):
+        for graph, labels, edges in implementations:
+            n = len(labels)
+            component_of = list(range(n))
+            for _ in range(n):  # label propagation to a fixpoint
+                for u, v in edges:
+                    low = min(component_of[u], component_of[v])
+                    component_of[u] = component_of[v] = low
+            expected: dict = {}
+            for v in range(n):
+                expected.setdefault(component_of[v], []).append(v)
+            assert sorted(graph.connected_components()) == sorted(expected.values())
+            assert graph.is_connected() == (len(expected) == 1)
 
     def test_neighbors_are_sorted_tuples(self, csr):
         for c in csr:
@@ -154,34 +176,49 @@ class TestAccessorParity:
                 assert isinstance(row, tuple)
                 assert list(row) == sorted(row)
 
-    def test_candidate_vertices_matches_brute_force(self, dataset, csr):
-        for g, c in zip(dataset, csr):
-            for label in sorted(g.distinct_labels()):
+    def test_candidate_vertices_matches_brute_force(self, implementations):
+        for graph, labels, edges in implementations:
+            rows = _adjacent(edges, len(labels))
+            for label in sorted(set(labels)):
                 for min_degree in (0, 1, 2, 4):
                     expected = tuple(
                         v
-                        for v in g.vertices()
-                        if g.label(v) == label and g.degree(v) >= min_degree
+                        for v in range(len(labels))
+                        if labels[v] == label and len(rows[v]) >= min_degree
                     )
-                    assert c.candidate_vertices(label, min_degree) == expected
-            assert c.candidate_vertices("no-such-label") == ()
+                    assert graph.candidate_vertices(label, min_degree) == expected
+            assert graph.candidate_vertices("no-such-label") == ()
 
-    def test_neighbor_label_counts_matches_brute_force(self, dataset, csr):
-        for g, c in zip(dataset, csr):
-            counts = c.neighbor_label_counts()
-            for v in g.vertices():
+    def test_neighbor_label_counts_matches_brute_force(self, implementations):
+        for graph, labels, edges in implementations:
+            rows = _adjacent(edges, len(labels))
+            counts = graph.neighbor_label_counts()
+            assert len(counts) == len(labels)
+            for v, row in enumerate(rows):
                 expected: dict = {}
-                for w in g.neighbor_set(v):
-                    expected[g.label(w)] = expected.get(g.label(w), 0) + 1
+                for w in row:
+                    expected[labels[w]] = expected.get(labels[w], 0) + 1
                 assert counts[v] == expected
 
-    def test_induced_subgraph_matches(self, dataset, csr):
+    def test_induced_subgraph_matches(self, implementations):
+        for graph, labels, edges in implementations:
+            keep = list(range(len(labels)))[::2]
+            sub, mapping = graph.induced_subgraph(keep)
+            assert mapping == keep
+            assert type(sub) is Graph
+            assert sub.labels == tuple(labels[v] for v in keep)
+            assert sorted(sub.edges()) == sorted(
+                (keep.index(u), keep.index(v))
+                for u, v in edges
+                if u in keep and v in keep
+            )
+
+    def test_both_implementations_compare_equal(self, dataset, csr):
         for g, c in zip(dataset, csr):
-            keep = list(g.vertices())[:: 2]
-            sub_g, map_g = g.induced_subgraph(keep)
-            sub_c, map_c = c.induced_subgraph(keep)
-            assert map_c == map_g
-            assert sub_c == sub_g
+            assert c.graph_id == g.graph_id
+            assert c == g and g == c
+            assert c.density() == pytest.approx(g.density())
+            assert c.average_degree() == pytest.approx(g.average_degree())
 
     def test_csr_graph_is_immutable(self, csr):
         first = next(iter(csr))
@@ -207,31 +244,15 @@ class TestTransportParity:
         arena = DatasetArena.create(dataset)
         try:
             csr_view = attach_csr_dataset(arena.handle)
-            dict_view = attach_dataset(arena.handle)
+            dict_view = unpack_dataset(arena._shm.buf)
             for a, g in zip(csr_view, dict_view):
                 assert a == g
         finally:
             arena.close()
 
-    def test_cached_dataset_is_keyed_per_core(self, dataset, monkeypatch):
-        arena = DatasetArena.create(dataset)
-        try:
-            clear_worker_caches()
-            monkeypatch.setenv(GRAPH_CORE_ENV, "csr")
-            csr_view = cached_dataset(arena.handle)
-            assert all(isinstance(g, CSRGraph) for g in csr_view)
-            monkeypatch.setenv(GRAPH_CORE_ENV, "dict")
-            dict_view = cached_dataset(arena.handle)
-            assert all(isinstance(g, Graph) for g in dict_view)
-            monkeypatch.setenv(GRAPH_CORE_ENV, "csr")
-            assert cached_dataset(arena.handle) is csr_view
-        finally:
-            clear_worker_caches()
-            arena.close()
-
 
 # ----------------------------------------------------------------------
-# byte identity across cores, all seven methods
+# byte identity: builder dataset fed directly vs its CSR conversion
 # ----------------------------------------------------------------------
 
 
@@ -240,20 +261,42 @@ def _cell_json(cell) -> str:
     return json.dumps(asdict(canonical_cell(cell)), sort_keys=True)
 
 
+def _direct_cell(name, config, dataset, workloads) -> MethodCell:
+    """The cell ``evaluate_method`` would report, with no conversion:
+    the index is built over — and verifies against — *dataset* as given,
+    and answers the builder queries as given."""
+    index = make_method(name, config)
+    report = index.build(dataset)
+    cell = MethodCell(
+        method=name,
+        build_status=STATUS_OK,
+        build_seconds=report.seconds,
+        index_bytes=report.size_bytes,
+        build_details=dict(report.details),
+    )
+    for size, queries in workloads.items():
+        results = [index.query(query) for query in queries]
+        cell.per_size[size] = SizeStats(
+            status=STATUS_OK, stats=summarize_results(results)
+        )
+    return cell
+
+
 class TestByteIdentityAcrossCores:
     @pytest.mark.parametrize("name", sorted(ALL_INDEX_CLASSES))
-    def test_canonical_cell_identical(self, name, dataset, queries, monkeypatch):
+    def test_canonical_cell_identical(self, name, dataset, queries):
         workloads = {4: queries}
         config = METHOD_CONFIGS[name]
-        monkeypatch.setenv(GRAPH_CORE_ENV, "dict")
-        dict_json = _cell_json(
-            evaluate_method(name, dataset, workloads, method_config=config, **BUDGETS)
+        converted = as_core_dataset(dataset)
+        assert isinstance(converted, CSRDataset)
+        assert as_core_dataset(converted) is converted
+        production = evaluate_method(
+            name, converted, workloads, method_config=config, **BUDGETS
         )
-        monkeypatch.setenv(GRAPH_CORE_ENV, "csr")
-        csr_json = _cell_json(
-            evaluate_method(name, dataset, workloads, method_config=config, **BUDGETS)
+        assert production.build_status == STATUS_OK
+        assert _cell_json(production) == _cell_json(
+            _direct_cell(name, config, dataset, workloads)
         )
-        assert csr_json == dict_json
 
 
 class TestNoCallerMutatesAdjacency:

@@ -1,7 +1,5 @@
 """Tests for index persistence (save/load with dataset fingerprinting)."""
 
-import warnings
-
 import pytest
 
 from repro.generators.graphgen import GraphGenConfig, generate_dataset
@@ -95,24 +93,3 @@ def test_fingerprint_sensitive_to_content(dataset):
         seed=56,
     )
     assert dataset_fingerprint(dataset) != dataset_fingerprint(other)
-
-
-class TestDeprecatedShim:
-    def test_shim_warns_once_and_delegates(self):
-        import importlib
-
-        from repro.indexes import persistence, store
-
-        importlib.reload(persistence)  # reset the warn-once latch
-        with pytest.warns(DeprecationWarning, match="repro.indexes.store"):
-            assert persistence.save_index is store.save_index
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a second access must not warn
-            assert persistence.load_index is store.load_index
-            assert persistence.IndexFileError is store.IndexFileError
-
-    def test_shim_rejects_unknown_attribute(self):
-        from repro.indexes import persistence
-
-        with pytest.raises(AttributeError):
-            persistence.does_not_exist

@@ -219,3 +219,50 @@ def test_unknown_regime_rejected(built):
     q = Graph(["A", "A"], [(0, 1)])
     with pytest.raises(ValueError, match="regime"):
         index.query(q, regime="nonsense")
+
+
+class TestRegimeEnvironment:
+    """``REPRO_REGIME`` at the CLI: the two regimes print different
+    things, so a mistyped value is an error, never a silent default."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        from repro.cli.main import main
+
+        data, queries = tmp_path / "d.gfd", tmp_path / "q.gfd"
+        assert main(["generate", str(data), "--graphs", "4", "--nodes", "8"]) == 0
+        assert main(["queries", str(data), str(queries), "--count", "2",
+                     "--edges", "2"]) == 0
+        return str(data), str(queries)
+
+    def test_mistyped_value_is_rejected_with_the_choices(
+        self, files, monkeypatch, capsys
+    ):
+        from repro.cli.main import main
+
+        monkeypatch.setenv("REPRO_REGIME", "single_graph")  # underscore
+        capsys.readouterr()
+        for argv in (
+            ["query", *files, "--method", "naive"],
+            ["build", files[0], "--method", "naive"],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "single_graph" in err
+            assert "transactional" in err and "single-graph" in err
+
+    def test_unset_means_transactional_and_the_flag_overrides(
+        self, files, monkeypatch, capsys
+    ):
+        from repro.cli.main import main
+
+        monkeypatch.delenv("REPRO_REGIME", raising=False)
+        assert main(["query", *files, "--method", "naive"]) == 0
+        # An explicit flag wins over a mistyped environment value; the
+        # regime it selects then rejects this multi-graph dataset.
+        monkeypatch.setenv("REPRO_REGIME", "single_graph")
+        capsys.readouterr()
+        assert main(
+            ["query", *files, "--method", "naive", "--regime", "single-graph"]
+        ) == 2
+        assert "one-graph dataset" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from repro.isomorphism.ullmann import ullmann_is_subgraph
 from repro.isomorphism.vf2 import is_subgraph
 from repro.utils.budget import Budget, BudgetExceeded
 
+from oracles import SetDomainState, set_ullmann_is_subgraph
 from testkit import (
     cycle_graph,
     nx_is_monomorphic,
@@ -97,37 +98,29 @@ class TestBudget:
 
 
 class TestEngineDifferential:
-    """Bitset vs set domains: same answers, same search tree.
+    """Bitset engine vs the reference set engine: same answers, same
+    search tree.
 
     The bitset engine promises more than agreement — it explores the
-    *identical* search tree (candidates ascending, refinement passes in
-    the same order, domains emptied at the same step), so the node
-    counters — and therefore budget poll counts — must match exactly.
+    *identical* search tree as ``oracles.SetDomainState`` (candidates
+    ascending, refinement passes in the same order, domains emptied at
+    the same step), so the node counters — and therefore budget poll
+    counts — must match exactly.
     """
 
     def _both(self, query, data, budget=None):
-        from repro.isomorphism.ullmann import (
-            _BitsetState,
-            _State,
-            _initial_candidates,
-        )
+        from repro.isomorphism.ullmann import _BitsetState, _initial_candidates
 
         candidates = _initial_candidates(query, data)
         if candidates is None:
             return None, None
-        set_state = _State(query, data, budget)
+        set_state = SetDomainState(query, data, budget)
         set_answer = set_state.search(0, [set(c) for c in candidates], set())
         bit_state = _BitsetState(query, data, budget)
         bit_answer = bit_state.search(0, bit_state.pack(candidates), set())
         assert bit_answer == set_answer
         assert bit_state.nodes == set_state.nodes
         return set_answer, set_state.nodes
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            ullmann_is_subgraph(
-                path_graph("AA"), triangle("AAA"), engine="matrix"
-            )
 
     def test_engines_agree_on_answers_and_poll_counts(self, rng):
         from repro.graphs.csr import CSRGraph
@@ -136,13 +129,13 @@ class TestEngineDifferential:
         for _ in range(150):
             query = random_graph(rng, 1, 4)
             data = random_graph(rng, 1, 7)
-            expected = ullmann_is_subgraph(query, data, engine="set")
-            assert ullmann_is_subgraph(query, data, engine="bitset") == expected
-            # Same differential over the CSR core (vectorized initial
+            expected = set_ullmann_is_subgraph(query, data)
+            assert ullmann_is_subgraph(query, data) == expected
+            # Same differential over a CSR host (vectorized initial
             # candidates feed both engines identically).
             csr_data = CSRGraph.from_graph(data)
-            assert ullmann_is_subgraph(query, csr_data, engine="set") == expected
-            assert ullmann_is_subgraph(query, csr_data, engine="bitset") == expected
+            assert set_ullmann_is_subgraph(query, csr_data) == expected
+            assert ullmann_is_subgraph(query, csr_data) == expected
             # Budget polls are driven by the node counter: identical
             # node counts == identical poll schedules at any interval.
             answer, nodes = self._both(query, data, budget=Budget(60.0))
@@ -157,12 +150,12 @@ class TestEngineDifferential:
             data = random_graph(rng, 70, 90, connected=True)
             vertices = sorted(rng.sample(range(data.order), 4))
             query, _ = data.induced_subgraph(vertices)
-            assert ullmann_is_subgraph(query, data, engine="bitset")
+            assert ullmann_is_subgraph(query, data)
             self._both(query, data, budget=Budget(60.0))
 
     def test_empty_initial_domain_early_exits(self, monkeypatch):
         """Regression pin: a label with no feasible data vertex returns
-        False before either engine allocates domains or searches."""
+        False before the engine allocates domains or searches."""
         from repro.isomorphism import ullmann as ullmann_module
         from repro.isomorphism.ullmann import _initial_candidates
 
@@ -173,10 +166,10 @@ class TestEngineDifferential:
         def explode(*args, **kwargs):
             raise AssertionError("search entered despite empty domain")
 
-        monkeypatch.setattr(ullmann_module._State, "search", explode)
         monkeypatch.setattr(ullmann_module._BitsetState, "search", explode)
-        for engine in ("bitset", "set"):
-            assert not ullmann_is_subgraph(query, data, engine=engine)
+        monkeypatch.setattr(SetDomainState, "search", explode)
+        assert not ullmann_is_subgraph(query, data)
+        assert not set_ullmann_is_subgraph(query, data)
 
     def test_early_exit_counts_no_nodes(self):
         # Degree-infeasible: 'A' hub needs degree 3, data max is 2.
@@ -185,5 +178,5 @@ class TestEngineDifferential:
         from repro.isomorphism.ullmann import _initial_candidates
 
         assert _initial_candidates(query, data) is None
-        assert not ullmann_is_subgraph(query, data, engine="bitset")
-        assert not ullmann_is_subgraph(query, data, engine="set")
+        assert not ullmann_is_subgraph(query, data)
+        assert not set_ullmann_is_subgraph(query, data)
