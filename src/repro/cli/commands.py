@@ -24,7 +24,7 @@ from repro.core.report import render_sweep, render_table1
 from repro.generators.graphgen import GraphGenConfig, generate_dataset
 from repro.generators.queries import generate_queries
 from repro.generators.realsets import make_real_dataset
-from repro.graphs.csr import as_core_dataset
+from repro.graphs.csr import as_core_dataset, as_core_query
 from repro.graphs.dataset import dataset_fingerprint
 from repro.graphs.graph import GraphError
 from repro.graphs.io import read_dataset, write_dataset
@@ -132,13 +132,6 @@ def _shareable(dataset, jobs: int | None):
     return arena.handle, arena
 
 
-def _resolve_payload_dataset(dataset):
-    """Worker side of :func:`_shareable` (yields the CSR dataset)."""
-    if isinstance(dataset, ArenaHandle):
-        return cached_dataset(dataset)
-    return as_core_dataset(dataset)
-
-
 def _payload_digest(dataset) -> int:
     """Dataset content digest of a worker payload (free for arenas)."""
     if isinstance(dataset, ArenaHandle):
@@ -182,7 +175,7 @@ def _built_via_store(
             }
             if not materialize:
                 return None, row, digest
-            resolved = _resolve_payload_dataset(dataset)
+            resolved = cached_dataset(dataset)
             return materialize_artifact(artifact, resolved), row, digest
     return index, None, digest  # caller builds (budgets are caller-specific)
 
@@ -208,7 +201,7 @@ def _build_worker(payload: tuple) -> dict:
     )
     if row is not None:
         return row
-    resolved = _resolve_payload_dataset(dataset)
+    resolved = cached_dataset(dataset)
     budget = (
         Budget(budget_seconds, phase=f"{method} build") if budget_seconds else None
     )
@@ -233,7 +226,7 @@ def _query_worker(payload: tuple) -> dict:
     dataset, queries, method, options, budget_seconds, store_dir = payload
     index, row, digest = _built_via_store(method, options, dataset, store_dir)
     if row is None:
-        index.build(_resolve_payload_dataset(dataset))
+        index.build(cached_dataset(dataset))
         _store_built_index(index, store_dir, digest)
     return _run_query_rows(index, queries, budget_seconds)
 
@@ -337,7 +330,7 @@ def cmd_build(args: argparse.Namespace) -> int:
                 Budget(args.budget, phase=f"{method} build") if args.budget else None
             )
             try:
-                report = index.build(_resolve_payload_dataset(dataset), budget=budget)
+                report = index.build(cached_dataset(dataset), budget=budget)
             except BudgetExceeded:
                 raise CliError(
                     f"{method} exceeded the {args.budget:.0f}s build budget "
@@ -419,8 +412,9 @@ def cmd_query(args: argparse.Namespace) -> int:
             f"--regime single-graph requires a one-graph dataset; "
             f"{args.dataset} has {len(dataset)} graphs"
         )
-    workload = _load_dataset(args.queries)
-    queries = list(workload)
+    # Query admission: the workload converts to CSR once, here, before
+    # any method (loaded, in-process or pooled) sees it.
+    queries = [as_core_query(query) for query in _load_dataset(args.queries)]
     if not queries:
         raise CliError(f"no queries in {args.queries}")
     options = _parse_options(args.option)
@@ -453,7 +447,7 @@ def cmd_query(args: argparse.Namespace) -> int:
                 method, method_options, dataset, args.index_store
             )
             if row is None:
-                index.build(_resolve_payload_dataset(dataset))
+                index.build(cached_dataset(dataset))
                 _store_built_index(index, args.index_store, digest)
             rows.append(_run_query_rows(index, queries, args.budget))
     else:
@@ -727,7 +721,7 @@ def cmd_bench_serve(args: argparse.Namespace) -> int:
                 final_dataset, DatasetDelta(added=(graph,))
             )
         index = make_method(method, _supported_options(method, options))
-        index.build(_resolve_payload_dataset(final_dataset))
+        index.build(as_core_dataset(final_dataset))
         assert post_answers is not None
         expected = [answers_of([index.query(query)]) for query in queries]
         mismatched = [
@@ -759,7 +753,7 @@ def cmd_bench_serve(args: argparse.Namespace) -> int:
             args.index_store,
         )
         if row is None:
-            index.build(_resolve_payload_dataset(dataset))
+            index.build(as_core_dataset(dataset))
             _store_built_index(index, args.index_store, digest)
         # Each request carried one query, so the daemon's `answers`
         # payload is a one-element list — mirror that shape here.

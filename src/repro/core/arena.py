@@ -33,28 +33,23 @@ index for one batch reuses it for every later task in the invocation.
 from __future__ import annotations
 
 import atexit
-from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 
-from repro.graphs.csr import CSRDataset
+from repro.graphs.csr import CSRDataset, as_core_dataset
 from repro.graphs.dataset import (
     GraphDataset,
     dataset_fingerprint,
     pack_dataset,
 )
-from repro.graphs.graph import Graph
 
 __all__ = [
     "ArenaHandle",
     "DatasetArena",
-    "SharedCellTask",
     "attach_csr_dataset",
     "cached_dataset",
     "clear_worker_caches",
     "live_arenas",
-    "run_shared_cell",
-    "share_task",
 ]
 
 
@@ -218,91 +213,23 @@ def attach_csr_dataset(handle: ArenaHandle) -> CSRDataset:
 _DATASET_CACHE: dict[int, CSRDataset] = {}
 
 
-def cached_dataset(handle: ArenaHandle) -> CSRDataset:
-    """Worker-side attach with caching by content fingerprint.
+def cached_dataset(payload: ArenaHandle | GraphDataset) -> CSRDataset:
+    """The CSR dataset behind a task's *payload*, however it travelled.
 
-    The first task touching a dataset in a given worker pays the attach
-    + materialization; every later task in that worker (the persistent
-    pool keeps workers alive across sweeps) reuses the same object.
+    An arena handle is attached with caching by content fingerprint: the
+    first task touching a dataset in a given worker pays the attach +
+    materialization; every later task in that worker (the persistent
+    pool keeps workers alive across sweeps) reuses the same object.  A
+    dataset shipped as itself is converted (a no-op when already CSR).
     """
-    dataset = _DATASET_CACHE.get(handle.fingerprint)
+    if not isinstance(payload, ArenaHandle):
+        return as_core_dataset(payload)
+    dataset = _DATASET_CACHE.get(payload.fingerprint)
     if dataset is None:
-        dataset = _DATASET_CACHE[handle.fingerprint] = attach_csr_dataset(handle)
+        dataset = _DATASET_CACHE[payload.fingerprint] = attach_csr_dataset(payload)
     return dataset
 
 
 def clear_worker_caches() -> None:
     """Drop this process's dataset cache (tests and memory pressure)."""
     _DATASET_CACHE.clear()
-
-
-# ----------------------------------------------------------------------
-# shared-memory cell tasks
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class SharedCellTask:
-    """A :class:`~repro.core.runner.CellTask` whose dataset lives in an arena.
-
-    Identical fields except ``handle`` replaces the dataset; pickling
-    one ships the (small) query workloads and a segment name instead of
-    the whole graph collection.
-    """
-
-    key: tuple
-    method: str
-    handle: ArenaHandle
-    #: Query size -> queries of that size.
-    workloads: Mapping[int, Sequence[Graph]]
-    method_config: Mapping[str, object] | None = None
-    build_budget_seconds: float | None = None
-    query_budget_seconds: float | None = None
-    build_memory_bytes: int | None = None
-    #: Index artifact store directory (``None`` disables the store).
-    index_store_dir: str | None = None
-    #: ``False`` forces paper-faithful rebuilds despite the store.
-    reuse_indexes: bool = True
-    #: Query answer form (:data:`repro.indexes.base.REGIMES`).
-    regime: str = "transactional"
-
-
-def share_task(task, handle: ArenaHandle) -> SharedCellTask:
-    """Rewrite a CellTask against an arena *handle* (dataset dropped)."""
-    return SharedCellTask(
-        key=task.key,
-        method=task.method,
-        handle=handle,
-        workloads=task.workloads,
-        method_config=task.method_config,
-        build_budget_seconds=task.build_budget_seconds,
-        query_budget_seconds=task.query_budget_seconds,
-        build_memory_bytes=task.build_memory_bytes,
-        index_store_dir=getattr(task, "index_store_dir", None),
-        reuse_indexes=getattr(task, "reuse_indexes", True),
-        regime=getattr(task, "regime", "transactional"),
-    )
-
-
-def run_shared_cell(task: SharedCellTask):
-    """Worker entry point: resolve the arena, then run the cell as usual.
-
-    The handle's content fingerprint doubles as the store's dataset
-    digest — it *is* :func:`repro.graphs.dataset.dataset_fingerprint`,
-    computed once by the arena's creator.
-    """
-    from repro.core.runner import evaluate_method
-
-    return evaluate_method(
-        task.method,
-        cached_dataset(task.handle),
-        task.workloads,
-        method_config=task.method_config,
-        build_budget_seconds=task.build_budget_seconds,
-        query_budget_seconds=task.query_budget_seconds,
-        build_memory_bytes=task.build_memory_bytes,
-        index_store_dir=task.index_store_dir,
-        reuse_indexes=task.reuse_indexes,
-        dataset_digest=task.handle.fingerprint,
-        regime=task.regime,
-    )

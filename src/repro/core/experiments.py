@@ -16,9 +16,9 @@ the missing data points the paper draws as truncated curves.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.core.arena import ArenaHandle, DatasetArena, SharedCellTask, share_task
+from repro.core.arena import ArenaHandle, DatasetArena
 from repro.core.parallel import ParallelRunner
 from repro.core.presets import ScaleProfile, active_profile
 from repro.core.runner import CellTask, MethodCell, run_cell
@@ -410,7 +410,7 @@ def _synthetic_sweep(
             result.dataset_stats[x] = dataset_statistics(dataset)
             digest = (
                 dataset_fingerprint(dataset)
-                if index_store_dir is not None
+                if index_store_dir is not None or batch_queries
                 else None
             )
             for method in wanted:
@@ -490,7 +490,7 @@ def real_dataset_experiment(
             result.dataset_stats[name] = dataset_statistics(dataset, name=name)
             digest = (
                 dataset_fingerprint(dataset)
-                if index_store_dir is not None
+                if index_store_dir is not None or batch_queries
                 else None
             )
             for method in wanted:
@@ -561,30 +561,37 @@ def _dispatch(
 ) -> None:
     """Execute *tasks* and merge deterministically.
 
-    Sequential runs (no engine features requested) stream the lazy
-    *tasks* iterable — only one x value's dataset is alive at a time,
-    as before the engine existed — and report each cell *before* it
-    runs, so an hours-long cell is visible in flight.  Engine runs must
-    materialize every task to submit it, and can only report
-    completions; results still merge in task order regardless of worker
-    completion order, so ``result.cells`` has the exact insertion order
-    — x outer, method inner — the sequential loop produces.
+    Every cell runs through the one batch executor
+    (:func:`~repro.core.scheduling.run_batch`); what differs is how
+    cells are *submitted*:
+
+    * **streamed** — sequential runs with no engine feature requested
+      consume the lazy *tasks* iterable one whole cell at a time
+      (:func:`~repro.core.runner.run_cell`), so only one x value's
+      dataset is alive at a time, and report each cell *before* it runs,
+      so an hours-long cell is visible in flight;
+    * **batched** (:func:`_run_batched`) — engine runs materialize every
+      task to submit it, and can only report completions; results still
+      merge in task order regardless of worker completion order, so
+      ``result.cells`` has the exact insertion order — x outer, method
+      inner — the streamed loop produces.
 
     Engine features (each independently optional):
 
-    * ``shared_mem`` — each x value's dataset is packed once into a
-      :class:`~repro.core.arena.DatasetArena`; tasks ship arena handles
-      instead of pickled datasets.  Each segment is **evicted as soon
-      as every task referencing it has completed** (per-arena
-      refcounts decremented from the completion hook), so a multi-GB
-      sweep holds at most the segments of in-flight x values; the
-      ``finally`` below still unlinks whatever remains, even when a
-      worker crashes mid-sweep.
-    * ``batch_queries`` — cells split into per-query batches
-      (:func:`~repro.core.scheduling.split_cell`) so one slow cell's
-      workload spreads across workers: batch 0 builds the index, the
-      others are dispatched when it has finished; merged cells are
-      byte-identical (canonicalized) to unbatched ones.
+    * ``shared_mem`` selects how a dataset travels: each x value's is
+      packed once into a :class:`~repro.core.arena.DatasetArena` and
+      tasks ship arena handles instead of pickled datasets.  Each
+      segment is **evicted as soon as every batch referencing it has
+      completed** (per-arena refcounts decremented from the completion
+      hook), so a multi-GB sweep holds at most the segments of
+      in-flight x values; the ``finally`` below still unlinks whatever
+      remains, even when a worker crashes mid-sweep.
+    * ``batch_queries`` selects the batch count: cells split into
+      ``runner.jobs`` per-query batches
+      (:func:`~repro.core.scheduling.split_cell`) instead of one, so one
+      slow cell's workload spreads across workers: batch 0 builds the
+      index, the others are dispatched when it has finished; merged
+      cells are byte-identical (canonicalized) however they were cut.
     * parallel submissions are always longest-first
       (:func:`~repro.core.scheduling.longest_first`) to shrink the tail.
       ``history`` (a :class:`~repro.core.scheduling.CostHistory`, e.g.
@@ -598,156 +605,125 @@ def _dispatch(
     the measured seconds — the data the next run's ``history`` is
     built from.
     """
-
-    def label(done: int, task) -> str:
-        return f"[{done}/{total}] {x_name}={task.key[0]} method={task.method}"
-
-    def priced(task) -> float:
-        units = estimate_cost(task)
-        result.cost_units[task.key] = units
-        return units if history is None else history.calibrate(
-            task.key, task.method, units
-        )
-
     runner = runner if runner is not None else ParallelRunner(jobs=jobs)
     if runner.jobs <= 1 and not shared_mem and not batch_queries:
         for done, task in enumerate(tasks, start=1):
             if progress is not None:
-                progress(label(done, task))
+                progress(
+                    f"[{done}/{total}] {x_name}={task.key[0]} method={task.method}"
+                )
             result.cost_units[task.key] = estimate_cost(task)
             result.cells[task.key] = run_cell(task)
         return
 
-    task_list: list = list(tasks)
+    task_list = list(tasks)
     arenas: list[DatasetArena] = []
     try:
         if shared_mem:
-            task_list = _share_tasks(task_list, arenas)
-        if batch_queries:
-            _run_batched(
-                result, task_list, runner, x_name, progress, history, arenas
-            )
-        else:
-            evict = _arena_evictor(task_list, arenas)
-            costs = [priced(task) for task in task_list]
-            order = longest_first(costs) if runner.jobs > 1 else None
-
-            def hook(done, _total, task):
-                evict(task)
-                if progress is not None:
-                    progress(label(done, task))
-
-            for outcome in runner.run(task_list, progress=hook, order=order):
-                result.cells[outcome.key] = outcome.cell
+            task_list = _move_to_arenas(task_list, arenas)
+        _run_batched(
+            result,
+            task_list,
+            runner,
+            runner.jobs if batch_queries else 1,
+            x_name,
+            progress,
+            history,
+            arenas,
+        )
     finally:
         for arena in arenas:
             arena.close()
 
 
-def _arena_evictor(tasks: list, arenas: list[DatasetArena]):
+def _arena_evictor(batches: list[QueryBatch], arenas: list[DatasetArena]):
     """A completion hook releasing each shared-memory segment once the
-    last task referencing it has finished (ROADMAP: arena eviction for
+    last batch referencing it has finished (ROADMAP: arena eviction for
     multi-GB invocations).
 
-    Safe because workers materialize a segment's dataset when a task
+    Safe because workers materialize a segment's dataset when a batch
     *starts* and cache it process-locally — by the time the final
-    referencing task has completed, no future task attaches the
+    referencing batch has completed, no future batch attaches the
     segment.  Closing is idempotent, so the dispatch-end ``finally``
     remains the crash backstop.
     """
     arena_by_name = {arena.handle.shm_name: arena for arena in arenas}
     refs: dict[str, int] = {}
-    for task in tasks:
-        name = _task_arena_name(task)
-        if name is not None:
+    for batch in batches:
+        if isinstance(batch.dataset, ArenaHandle):
+            name = batch.dataset.shm_name
             refs[name] = refs.get(name, 0) + 1
 
-    def evict(task) -> None:
-        name = _task_arena_name(task)
-        if name is None:
+    def evict(batch: QueryBatch) -> None:
+        if not isinstance(batch.dataset, ArenaHandle):
             return
+        name = batch.dataset.shm_name
         refs[name] -= 1
         if refs[name] == 0:
-            arena = arena_by_name.get(name)
-            if arena is not None:
-                arena.close()
+            arena_by_name[name].close()
 
     return evict
 
 
-def _task_arena_name(task) -> str | None:
-    handle = getattr(task, "handle", None)  # SharedCellTask
-    if handle is None:
-        dataset = getattr(task, "dataset", None)  # QueryBatch over an arena
-        if isinstance(dataset, ArenaHandle):
-            handle = dataset
-    return None if handle is None else handle.shm_name
-
-
-def _share_tasks(
+def _move_to_arenas(
     tasks: list[CellTask], arenas: list[DatasetArena]
-) -> list[SharedCellTask]:
+) -> list[CellTask]:
     """Move every task's dataset into a shared-memory arena (one per
     distinct dataset object; all methods of an x value share it)."""
-    handle_of: dict[int, object] = {}
-    shared: list[SharedCellTask] = []
+    handle_of: dict[int, ArenaHandle] = {}
+    shared: list[CellTask] = []
     for task in tasks:
         handle = handle_of.get(id(task.dataset))
         if handle is None:
             arena = DatasetArena.create(task.dataset)
             arenas.append(arena)
-            handle = arena.handle
-            handle_of[id(task.dataset)] = handle
-        shared.append(share_task(task, handle))
+            handle = handle_of[id(task.dataset)] = arena.handle
+        shared.append(replace(task, dataset=handle))
     return shared
 
 
 def _run_batched(
     result: SweepResult,
-    tasks: "list[CellTask | SharedCellTask]",
+    tasks: list[CellTask],
     runner: ParallelRunner,
+    num_batches: int,
     x_name: str,
     progress: ProgressHook | None,
-    history=None,
-    arenas: "list[DatasetArena] | None" = None,
+    history,
+    arenas: list[DatasetArena],
 ) -> None:
-    """Split cells into query batches, run longest-first, merge in order.
+    """Split cells into up to *num_batches* query batches each (1 = whole
+    cells), run longest-first, merge in order.
 
     Each cell's batch 0 carries the build and is submitted longest-first;
     its other batches are submitted when it has finished (or, after a
     failed build, take its status without running), so no two workers
     ever build one cell's index side by side.
 
-    *arenas* enables per-batch arena eviction: a dataset's segment is
-    released once the last batch referencing it completes."""
-    fingerprint_of: dict[int, int] = {}
+    A dataset's segment in *arenas* is released once the last batch
+    referencing it completes."""
     batches: list[QueryBatch] = []
     groups: list[tuple] = []  # (task, range of batch indices)
     for task in tasks:
-        if isinstance(task, SharedCellTask):
-            key = task.handle.fingerprint
-        else:
-            key = fingerprint_of.get(id(task.dataset))
-            if key is None:
-                key = getattr(task, "dataset_digest", None)
-                if key is None:
-                    key = dataset_fingerprint(task.dataset)
-                fingerprint_of[id(task.dataset)] = key
         result.cost_units[task.key] = estimate_cost(task)
-        cell_batches = split_cell(task, runner.jobs, dataset_key=key)
+        cell_batches = split_cell(task, num_batches)
         start = len(batches)
         batches.extend(cell_batches)
         groups.append((task, range(start, start + len(cell_batches))))
 
     total = len(batches)
-    evict = _arena_evictor(batches, arenas if arenas is not None else [])
+    evict = _arena_evictor(batches, arenas)
 
     def hook(done, _total, batch):
         evict(batch)
         if progress is not None:
+            part = (
+                f" batch {batch.batch_index + 1}/{batch.num_batches}"
+                if num_batches > 1
+                else ""
+            )
             progress(
-                f"[{done}/{total}] {x_name}={batch.key[0]} method={batch.method} "
-                f"batch {batch.batch_index + 1}/{batch.num_batches}"
+                f"[{done}/{total}] {x_name}={batch.key[0]} method={batch.method}{part}"
             )
 
     costs = [estimate_batch_cost(batch, history) for batch in batches]

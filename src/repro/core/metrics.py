@@ -57,22 +57,6 @@ class WorkloadStats:
         return self.avg_query_seconds * self.num_queries
 
 
-def summarize_results(results: Sequence[QueryResult]) -> WorkloadStats:
-    """Collapse per-query results into the paper's reported quantities."""
-    if not results:
-        return WorkloadStats(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    count = len(results)
-    return WorkloadStats(
-        num_queries=count,
-        avg_query_seconds=sum(r.total_seconds for r in results) / count,
-        avg_filter_seconds=sum(r.filter_seconds for r in results) / count,
-        avg_verify_seconds=sum(r.verify_seconds for r in results) / count,
-        avg_candidates=sum(len(r.candidates) for r in results) / count,
-        avg_answers=sum(len(r.answers) for r in results) / count,
-        false_positive_ratio=false_positive_ratio(results),
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class QueryRecord:
     """One query's measurements, reduced to scalars.
@@ -105,17 +89,16 @@ def record_of(result: QueryResult) -> QueryRecord:
 
 
 def summarize_records(records: Sequence[QueryRecord]) -> WorkloadStats:
-    """:func:`summarize_results` over records, arithmetic mirrored exactly.
+    """Collapse per-query records into the paper's reported quantities.
 
-    Records concatenated back into original query order must aggregate
-    to the *bit-identical* statistics a sequential run computes —
-    same values summed in the same order, then divided once — so a
-    batched workload canonicalizes byte-for-byte like an unbatched one.
+    The one aggregation arithmetic: records concatenated back into
+    original query order sum in that order and divide once, so a
+    workload aggregates to bit-identical statistics however many
+    batches answered it.
     """
     if not records:
         return WorkloadStats(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     count = len(records)
-    ratios = [record.false_positive_ratio for record in records]
     return WorkloadStats(
         num_queries=count,
         avg_query_seconds=sum(r.total_seconds for r in records) / count,
@@ -123,5 +106,10 @@ def summarize_records(records: Sequence[QueryRecord]) -> WorkloadStats:
         avg_verify_seconds=sum(r.verify_seconds for r in records) / count,
         avg_candidates=sum(r.num_candidates for r in records) / count,
         avg_answers=sum(r.num_answers for r in records) / count,
-        false_positive_ratio=sum(ratios) / len(ratios),
+        false_positive_ratio=sum(r.false_positive_ratio for r in records) / count,
     )
+
+
+def summarize_results(results: Sequence[QueryResult]) -> WorkloadStats:
+    """:func:`summarize_records` over full per-query results."""
+    return summarize_records([record_of(result) for result in results])

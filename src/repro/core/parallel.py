@@ -1,22 +1,23 @@
-"""Parallel execution of experiment cells across worker processes.
+"""Ordered, dependency-aware ``map`` over a pool of worker processes.
 
 Every (method × dataset) cell of the paper's figure grid is independent
 — the same observation *NScale* and the billion-node matching line of
 work exploit — so reproducing a figure is an embarrassingly parallel
-workload.  :class:`ParallelRunner` fans :class:`~repro.core.runner.CellTask`
-items out to a ``ProcessPoolExecutor``: the index build, batched query
-execution, and budget enforcement all happen inside the worker, and
-only the finished :class:`~repro.core.runner.MethodCell` (plus a small
-execution report) crosses the process boundary back.
+workload.  :class:`ParallelRunner` fans picklable work items out to a
+``ProcessPoolExecutor`` and knows nothing about what they are: the sweep
+engine maps :func:`repro.core.scheduling.run_batch` over query batches
+(index build, query execution and budget enforcement all happen inside
+the worker, and only the scalar outcome crosses the process boundary
+back); ``repro build`` / ``repro query`` / ``repro serve`` map their own
+per-method workers.
 
 Determinism guarantee
 ---------------------
-Results are merged back **in task-submission order**, regardless of the
-order workers finish, and a ``jobs=1`` runner executes the exact same
-code path in-process.  Cells therefore carry identical *measured
-content* (statuses, candidate/answer counts, index sizes, FP ratios)
-either way — only wall-clock timing fields differ run to run, exactly
-as they do between two sequential runs.
+Results come back **in item order**, regardless of the order workers
+finish, and a ``jobs=1`` runner executes the same queue in-process.
+What a task computes therefore cannot depend on the worker count —
+only wall-clock timing fields differ run to run, exactly as they do
+between two sequential runs.
 :func:`repro.core.serialization.canonical_sweep` strips those timing
 fields, under which a parallel sweep serializes byte-identically to a
 sequential one; ``tests/test_parallel_runner.py`` holds that property.
@@ -28,57 +29,15 @@ import atexit
 import multiprocessing
 import os
 import threading
-import time
 from collections import deque
 from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from dataclasses import dataclass
-
-from repro.core.arena import SharedCellTask, run_shared_cell
-from repro.core.runner import CellTask, MethodCell, run_cell
 
 __all__ = [
-    "TaskOutcome",
     "ParallelRunner",
     "PersistentPool",
-    "execute_task",
     "persistent_pool",
-    "run_cells",
 ]
-
-#: Called after each task completes: (done_count, total, task).
-ProgressCallback = Callable[[int, int, object], None]
-
-
-@dataclass(frozen=True, slots=True)
-class TaskOutcome:
-    """One executed cell plus where/how it ran.
-
-    Execution metadata lives here — *not* on the cell — so that
-    parallel and sequential runs produce identical cells.
-    """
-
-    key: tuple
-    cell: MethodCell
-    #: PID of the process that executed the task (the parent's own pid
-    #: when running sequentially).
-    worker_pid: int
-    #: Wall-clock seconds the task spent executing in its worker.
-    seconds: float
-
-
-def execute_task(task: CellTask | SharedCellTask) -> MethodCell:
-    """Run either task flavor in the calling process."""
-    if isinstance(task, SharedCellTask):
-        return run_shared_cell(task)
-    return run_cell(task)
-
-
-def _execute(task: CellTask | SharedCellTask) -> tuple[MethodCell, int, float]:
-    """Worker-side entry point: run one cell, report pid and duration."""
-    start = time.perf_counter()
-    cell = execute_task(task)
-    return cell, os.getpid(), time.perf_counter() - start
 
 
 def _mp_context():
@@ -92,7 +51,7 @@ def _mp_context():
 
 
 class ParallelRunner:
-    """Run cell tasks across ``jobs`` worker processes.
+    """Run picklable tasks across ``jobs`` worker processes.
 
     Parameters
     ----------
@@ -106,8 +65,8 @@ class ParallelRunner:
         (per-worker logging, instrumentation, warm caches).
 
     Use as a context manager to keep the pool alive across several
-    :meth:`run` / :meth:`map` calls; otherwise each call manages its
-    own short-lived pool.
+    :meth:`map` calls; otherwise each call manages its own short-lived
+    pool.
 
     Examples
     --------
@@ -164,9 +123,10 @@ class ParallelRunner:
     ) -> list:
         """Apply a picklable *func* to every item, preserving order.
 
-        The generic primitive under :meth:`run`: results come back in
-        ``items`` order no matter which worker finishes first.  With
-        ``jobs <= 1`` this is a plain in-process loop.
+        Results come back in ``items`` order no matter which worker
+        finishes first.  With ``jobs <= 1`` this is a plain in-process
+        loop.  *progress* is called after each item completes with
+        ``(done_count, total, item)``.
 
         *order*, if given, is a permutation of ``range(len(items))``
         giving the **submission** (and, sequentially, execution) order —
@@ -256,39 +216,6 @@ class ParallelRunner:
         finally:
             if owns_pool:
                 executor.shutdown()
-
-    def run(
-        self,
-        tasks: Sequence[CellTask | SharedCellTask],
-        progress: ProgressCallback | None = None,
-        order: Sequence[int] | None = None,
-    ) -> list[TaskOutcome]:
-        """Execute every task; outcomes are in ``tasks`` order.
-
-        *order* is an optional submission permutation (see :meth:`map`);
-        outcome order is unaffected by it.
-        """
-        raw = self.map(_execute, tasks, progress=progress, order=order)
-        return [
-            TaskOutcome(key=task.key, cell=cell, worker_pid=pid, seconds=seconds)
-            for task, (cell, pid, seconds) in zip(tasks, raw)
-        ]
-
-
-def run_cells(
-    tasks: Sequence[CellTask | SharedCellTask],
-    jobs: int | None = 1,
-    progress: ProgressCallback | None = None,
-    order: Sequence[int] | None = None,
-) -> dict[tuple, MethodCell]:
-    """One-shot convenience: tasks in, ``{key: cell}`` out.
-
-    Insertion order of the returned dict equals task order, so callers
-    that fill result tables from it get the same ordering a sequential
-    loop would have produced.
-    """
-    outcomes = ParallelRunner(jobs=jobs).run(tasks, progress=progress, order=order)
-    return {outcome.key: outcome.cell for outcome in outcomes}
 
 
 # ----------------------------------------------------------------------

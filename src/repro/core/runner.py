@@ -13,13 +13,12 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
-from repro.graphs.csr import as_core_dataset, as_core_query
+from repro.core.arena import ArenaHandle
+from repro.core.metrics import WorkloadStats
 from repro.graphs.dataset import GraphDataset
 from repro.graphs.graph import Graph
 from repro.indexes import ALL_INDEX_CLASSES
 from repro.indexes.base import GraphIndex
-from repro.core.metrics import WorkloadStats, summarize_results
-from repro.utils.budget import Budget, BudgetExceeded, MemoryBudgetExceeded
 
 __all__ = [
     "STATUS_OK",
@@ -100,16 +99,18 @@ class MethodCell:
 class CellTask:
     """A picklable description of one (method × dataset) cell.
 
-    This is the unit of work the parallel engine ships to worker
-    processes (:mod:`repro.core.parallel`): everything
-    :func:`evaluate_method` needs, as plain data.  ``key`` is an opaque
-    tag the caller uses to place the resulting
-    :class:`MethodCell` — sweeps use ``(x_value, method_name)``.
+    Everything :func:`run_cell` needs, as plain data — the unit a sweep
+    plans in and :func:`repro.core.scheduling.split_cell` cuts into the
+    query batches workers execute.  ``key`` is an opaque tag the caller
+    uses to place the resulting :class:`MethodCell` — sweeps use
+    ``(x_value, method_name)``.
     """
 
     key: tuple
     method: str
-    dataset: GraphDataset
+    #: The dataset itself, or the handle of the shared-memory arena it
+    #: was packed into (``--shared-mem``).
+    dataset: GraphDataset | ArenaHandle
     #: Query size -> queries of that size.
     workloads: Mapping[int, Sequence[Graph]]
     method_config: Mapping[str, object] | None = None
@@ -125,7 +126,8 @@ class CellTask:
     reuse_indexes: bool = True
     #: Canonical dataset content digest, computed once by the
     #: dispatching parent so the M method-cells over one dataset do not
-    #: each re-fingerprint it worker-side (``None`` = compute lazily).
+    #: each re-fingerprint it (``None`` = an arena handle's own, else
+    #: computed when a store or a multi-batch split needs it).
     dataset_digest: int | None = None
     #: Query answer form (:data:`repro.indexes.base.REGIMES`):
     #: transactional graph ids, or single-graph embedding roots.
@@ -135,24 +137,16 @@ class CellTask:
 def run_cell(task: CellTask) -> MethodCell:
     """Execute one cell: a pure, picklable function of its task.
 
-    Builds the index and runs every workload *in the calling process* —
-    when dispatched by :class:`repro.core.parallel.ParallelRunner` the
-    budgets are therefore enforced inside the worker, and only the
-    resulting :class:`MethodCell` crosses the process boundary.
+    A whole cell is the one-batch case of the batch executor
+    (:mod:`repro.core.scheduling`): the build (or its fetch from the
+    artifact store), every workload and the budgets all run *in the
+    calling process*, through the same ``run_batch`` a pool worker runs.
     """
-    return evaluate_method(
-        task.method,
-        task.dataset,
-        task.workloads,
-        method_config=task.method_config,
-        build_budget_seconds=task.build_budget_seconds,
-        query_budget_seconds=task.query_budget_seconds,
-        build_memory_bytes=task.build_memory_bytes,
-        index_store_dir=task.index_store_dir,
-        reuse_indexes=task.reuse_indexes,
-        dataset_digest=task.dataset_digest,
-        regime=task.regime,
-    )
+    # scheduling imports this module's cell types, hence not at the top
+    from repro.core.scheduling import merge_batches, run_batch, split_cell
+
+    batches = split_cell(task, 1)
+    return merge_batches(batches, [run_batch(batch) for batch in batches])
 
 
 def make_method(name: str, config: Mapping[str, object] | None = None) -> GraphIndex:
@@ -180,6 +174,8 @@ def evaluate_method(
 ) -> MethodCell:
     """Build one method over *dataset* and run every workload.
 
+    The keyword form of :func:`run_cell`.
+
     Parameters
     ----------
     method_name:
@@ -201,7 +197,7 @@ def evaluate_method(
         original measured time, never a fake re-measured one — and tags
         ``cell.provenance``.  Build budgets are not re-enforced on
         reuse.  *dataset_digest* skips re-fingerprinting when the
-        caller (e.g. an arena handle) already knows it.
+        caller already knows it.
     regime:
         The query answer form every workload runs under —
         ``"transactional"`` graph ids (the default) or
@@ -210,111 +206,19 @@ def evaluate_method(
 
     Never raises for method failures; statuses record them.
     """
-    # The hot loops below see the immutable flat-array dataset.
-    dataset = as_core_dataset(dataset)
-    index = make_method(method_name, method_config)
-    cell = MethodCell(method=method_name, build_status=STATUS_OK)
-
-    store = None
-    if index_store_dir is not None:
-        from repro.indexes.store import shared_store
-
-        store = shared_store(index_store_dir)
-        if dataset_digest is None:
-            from repro.graphs.dataset import dataset_fingerprint
-
-            dataset_digest = dataset_fingerprint(dataset)
-        if reuse_indexes:
-            artifact = store.get(method_name, index.index_params(), dataset_digest)
-            if artifact is not None:
-                from repro.indexes.store import materialize_artifact
-
-                index = materialize_artifact(artifact, dataset)
-                provenance = artifact.provenance
-                cell.build_seconds = provenance.build_seconds
-                cell.index_bytes = provenance.size_bytes
-                cell.build_details = dict(provenance.details)
-                cell.provenance = {
-                    "reused": True,
-                    "artifact": artifact.address,
-                    "built_at": provenance.created_at,
-                    "library_version": provenance.library_version,
-                }
-                _run_workloads(cell, index, workloads, query_budget_seconds, regime)
-                return cell
-
-    build_budget = (
-        Budget(
-            build_budget_seconds,
-            max_bytes=build_memory_bytes,
-            phase=f"{method_name} build",
+    return run_cell(
+        CellTask(
+            key=(method_name,),
+            method=method_name,
+            dataset=dataset,
+            workloads=workloads,
+            method_config=method_config,
+            build_budget_seconds=build_budget_seconds,
+            query_budget_seconds=query_budget_seconds,
+            build_memory_bytes=build_memory_bytes,
+            index_store_dir=index_store_dir,
+            reuse_indexes=reuse_indexes,
+            dataset_digest=dataset_digest,
+            regime=regime,
         )
-        if build_budget_seconds is not None or build_memory_bytes is not None
-        else None
     )
-    try:
-        report = index.build(dataset, budget=build_budget)
-    except MemoryBudgetExceeded:
-        cell.build_status = STATUS_MEMORY
-        return cell
-    except BudgetExceeded:
-        cell.build_status = STATUS_TIMEOUT
-        return cell
-    except (MemoryError, RecursionError, ValueError, RuntimeError) as exc:
-        cell.build_status = STATUS_ERROR
-        cell.build_error = f"{type(exc).__name__}: {exc}"
-        return cell
-    cell.build_seconds = report.seconds
-    cell.index_bytes = report.size_bytes
-    cell.build_details = dict(report.details)
-    if store is not None:
-        from repro.indexes.store import artifact_from_index
-
-        assert dataset_digest is not None
-        try:
-            address = store.put(artifact_from_index(index, dataset_digest))
-        except NotImplementedError:
-            pass  # no payload-split contract (test double): run unstored
-        else:
-            cell.provenance = {"reused": False, "artifact": address}
-
-    _run_workloads(cell, index, workloads, query_budget_seconds, regime)
-    return cell
-
-
-def _run_workloads(
-    cell: MethodCell,
-    index: GraphIndex,
-    workloads: Mapping[int, Sequence[Graph]],
-    query_budget_seconds: float | None,
-    regime: str = "transactional",
-) -> None:
-    """Run every workload through a built *index*, recording per-size
-    statistics and statuses on *cell* (shared by the fresh-build and
-    artifact-reuse paths)."""
-    for size, queries in workloads.items():
-        query_budget = (
-            Budget(query_budget_seconds, phase=f"{cell.method} queries size {size}")
-            if query_budget_seconds is not None
-            else None
-        )
-        # Query admission: convert each workload query to CSR once,
-        # here, so filter and verify both see CSR-vs-CSR (queries
-        # arrive from generators/IO as builder graphs).
-        admitted = [as_core_query(query) for query in queries]
-        try:
-            results = [
-                index.query(query, budget=query_budget, regime=regime)
-                for query in admitted
-            ]
-        except BudgetExceeded:
-            cell.per_size[size] = SizeStats(status=STATUS_TIMEOUT)
-            continue
-        except (MemoryError, RecursionError, ValueError, RuntimeError) as exc:
-            cell.per_size[size] = SizeStats(
-                status=STATUS_ERROR, error=f"{type(exc).__name__}: {exc}"
-            )
-            continue
-        cell.per_size[size] = SizeStats(
-            status=STATUS_OK, stats=summarize_results(results)
-        )

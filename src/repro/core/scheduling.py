@@ -20,16 +20,21 @@ in two independent ways:
   has finished, finding the index in the process memo or the store —
   or not dispatched at all when the build failed
   (:func:`propagate_build_failure`).  :func:`merge_batches` reassembles
-  the per-query records **in original query order** and aggregates them
-  with arithmetic mirrored from the sequential path — the merged cell
-  canonicalizes byte-identically to an unbatched run.
+  the per-query records **in original query order** and aggregates
+  them, so the merged cell canonicalizes byte-identically however many
+  batches it was cut into.
+
+:func:`run_batch` is the only code in the sweep pipeline that builds or
+fetches an index and answers a workload: a whole cell
+(:func:`repro.core.runner.run_cell`) is a cell split into one batch.
 
 Semantics note: the paper's per-workload query budget is enforced per
-*batch* in batched mode (wall-clock cannot be shared across processes).
-With no budget, or the zero budget the failure tests use, the two modes
-agree exactly; a real mid-workload timeout may land on a different query
-than sequentially — the same nondeterminism two sequential runs already
-have.
+*batch* (wall-clock cannot be shared across processes); an unsplit
+cell's one batch holds every size whole, so there it spans the workload.
+With no budget, or the zero budget the failure tests use, every split
+agrees exactly; a real mid-workload timeout may land on a different
+query than in an unsplit cell — the same nondeterminism two unsplit runs
+already have.
 """
 
 from __future__ import annotations
@@ -37,8 +42,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
-from repro.core.arena import ArenaHandle, SharedCellTask, cached_dataset
-from repro.graphs.csr import as_core_dataset, as_core_query
+from repro.core.arena import ArenaHandle, cached_dataset
+from repro.graphs.csr import as_core_query
 from repro.core.metrics import QueryRecord, record_of, summarize_records
 from repro.core.runner import (
     STATUS_ERROR,
@@ -52,6 +57,7 @@ from repro.core.runner import (
 )
 from repro.graphs.dataset import GraphDataset, dataset_fingerprint
 from repro.graphs.graph import Graph
+from repro.indexes.base import GraphIndex
 from repro.utils.budget import Budget, BudgetExceeded, MemoryBudgetExceeded
 
 __all__ = [
@@ -85,21 +91,12 @@ def _weight_of(dataset: GraphDataset | ArenaHandle) -> float:
     return float(len(dataset) + dataset.total_vertices() + dataset.total_edges())
 
 
-def _dataset_weight(task: CellTask | SharedCellTask) -> float:
-    """Rough size of the dataset a task runs against."""
-    if isinstance(task, SharedCellTask):
-        return _weight_of(task.handle)
-    return _weight_of(task.dataset)
-
-
 def _query_work(workloads: Mapping[int, Sequence[Graph]]) -> float:
     """Total query edges — the workload side of the cost product."""
     return float(sum(size * len(queries) for size, queries in workloads.items()))
 
 
-def estimate_cost(
-    task: CellTask | SharedCellTask, history: "CostHistory | None" = None
-) -> float:
+def estimate_cost(task: CellTask, history: "CostHistory | None" = None) -> float:
     """Estimated cell cost: dataset size × (1 + query work).
 
     The static estimate is deliberately method-blind — the paper's whole
@@ -116,7 +113,7 @@ def estimate_cost(
     the cost-model feedback loop that un-blinds the scheduler where
     evidence exists.
     """
-    units = _dataset_weight(task) * (1.0 + _query_work(task.workloads))
+    units = _weight_of(task.dataset) * (1.0 + _query_work(task.workloads))
     if history is not None:
         return history.calibrate(task.key, task.method, units)
     return units
@@ -239,7 +236,7 @@ class CostHistory:
 def longest_first(costs: Sequence[float]) -> list[int]:
     """Submission order: indices by descending cost, stable on ties.
 
-    The returned permutation feeds ``ParallelRunner.run(..., order=...)``;
+    The returned permutation feeds ``ParallelRunner.map(..., order=...)``;
     results still come back in the *original* index order, so the sweep
     output is submission-deterministic regardless of completion order.
     """
@@ -278,8 +275,10 @@ class QueryBatch:
     key: tuple
     method: str
     dataset: GraphDataset | ArenaHandle
-    #: Content digest of the dataset — the store's address component.
-    dataset_key: int
+    #: Content digest of the dataset — the store's address component
+    #: (``None`` for a one-batch cell without a store, which never
+    #: looks its index up anywhere).
+    dataset_key: int | None
     batch_index: int
     num_batches: int
     #: Every query size of the parent cell, in workload order (the
@@ -329,9 +328,7 @@ class BatchOutcome:
     built: bool = False
 
 
-def split_cell(
-    task: CellTask | SharedCellTask, num_batches: int, dataset_key: int | None = None
-) -> list[QueryBatch]:
+def split_cell(task: CellTask, num_batches: int) -> list[QueryBatch]:
     """Split one cell into up to *num_batches* query batches.
 
     Each size's workload is cut into contiguous chunks (chunk *i* of a
@@ -341,15 +338,15 @@ def split_cell(
     queries still produces one build-only batch.  The split is a pure
     function of (task, num_batches) — deterministic across runs.
     """
-    if isinstance(task, SharedCellTask):
-        dataset: GraphDataset | ArenaHandle = task.handle
-        key = task.handle.fingerprint if dataset_key is None else dataset_key
-    else:
-        dataset = task.dataset
-        key = dataset_fingerprint(task.dataset) if dataset_key is None else dataset_key
     sizes = tuple(task.workloads)
     total_queries = sum(len(queries) for queries in task.workloads.values())
     count = max(1, min(int(num_batches), total_queries)) if total_queries else 1
+    key = task.dataset_digest
+    if key is None:
+        if isinstance(task.dataset, ArenaHandle):
+            key = task.dataset.fingerprint
+        elif count > 1 or task.index_store_dir is not None:
+            key = dataset_fingerprint(task.dataset)
     parts_of: list[list[BatchPart]] = [[] for _ in range(count)]
     for size, queries in task.workloads.items():
         queries = list(queries)
@@ -363,7 +360,7 @@ def split_cell(
         QueryBatch(
             key=task.key,
             method=task.method,
-            dataset=dataset,
+            dataset=task.dataset,
             dataset_key=key,
             batch_index=i,
             num_batches=count,
@@ -373,9 +370,9 @@ def split_cell(
             build_budget_seconds=task.build_budget_seconds,
             query_budget_seconds=task.query_budget_seconds,
             build_memory_bytes=task.build_memory_bytes,
-            index_store_dir=getattr(task, "index_store_dir", None),
-            reuse_indexes=getattr(task, "reuse_indexes", True),
-            regime=getattr(task, "regime", "transactional"),
+            index_store_dir=task.index_store_dir,
+            reuse_indexes=task.reuse_indexes,
+            regime=task.regime,
         )
         for i in range(count)
     ]
@@ -389,8 +386,10 @@ def split_cell(
 #: ``_INDEX_CACHE``, with the same budget-inclusive keying: failures are
 #: cached so every batch of a cell reports the same deterministic
 #: status, and successful builds are shared across batches (and, when
-#: ``reuse_indexes`` is on, across cells) *of the same budgets*.  The
-#: :class:`~repro.indexes.store.IndexStore` sits in front of it only
+#: ``reuse_indexes`` is on, across cells) *of the same budgets*.  Only
+#: split cells use it: a one-batch cell has no later batch to serve, and
+#: memoizing it would keep every index of a sweep alive in the process.
+#: The :class:`~repro.indexes.store.IndexStore` sits in front of it only
 #: when an explicit store directory is configured — store artifacts are
 #: budget-free by documented contract, and that trade must be opted
 #: into, never implied.
@@ -406,21 +405,16 @@ def clear_index_cache() -> None:
     clear_stores()
 
 
-def _batch_dataset(batch: QueryBatch) -> GraphDataset:
-    if isinstance(batch.dataset, ArenaHandle):
-        return cached_dataset(batch.dataset)
-    return as_core_dataset(batch.dataset)
-
-
 def _built_index_for(batch: QueryBatch) -> tuple[tuple, bool]:
     """``("ok", index, report, provenance)`` or ``(status, error)``,
     and whether this call ran the build itself.
 
-    Resolution order: the explicit artifact store (memory LRU, then
-    disk) when one is configured and reuse is on — a hit materializes a
-    fresh index and reports the *original* build's provenance; then the
-    budget-keyed process memo; then a fresh build, written through to
-    the store.
+    Resolution order for a split cell: the budget-keyed process memo —
+    within one process the live built index beats re-materializing from
+    the store, and the building run's batches all report consistent
+    provenance; then :func:`_fetch_or_build`, whose outcome (a store
+    hit included: the cell's remaining batches must not repeat the
+    payload import) is memoized.
 
     Without ``--index-store`` the memo alone serves reuse, keyed by
     budgets exactly as PR 2's cache was — a lenient-budget build must
@@ -428,6 +422,30 @@ def _built_index_for(batch: QueryBatch) -> tuple[tuple, bool]:
     crossing budget boundaries is reserved for the explicit store (a
     documented trade of its own).
     """
+    probe = make_method(batch.method, batch.method_config)
+    if batch.num_batches == 1:
+        return _fetch_or_build(batch, probe)
+    memo_key = (
+        batch.method,
+        tuple(sorted(probe.index_params().items())),
+        batch.dataset_key,
+        batch.build_budget_seconds,
+        batch.build_memory_bytes,
+        None if batch.reuse_indexes else batch.key,
+    )
+    entry = _BUILD_MEMO.get(memo_key)
+    if entry is not None:
+        return entry, False
+    entry, built = _fetch_or_build(batch, probe)
+    _BUILD_MEMO[memo_key] = entry
+    return entry, built
+
+
+def _fetch_or_build(batch: QueryBatch, index: GraphIndex) -> tuple[tuple, bool]:
+    """The explicit artifact store (memory LRU, then disk) when one is
+    configured and reuse is on — a hit materializes a fresh index and
+    reports the *original* build's provenance; else a budgeted build of
+    *index*, written through to the store."""
     from repro.indexes.store import artifact_from_index, materialize_artifact, shared_store
 
     store = (
@@ -435,45 +453,18 @@ def _built_index_for(batch: QueryBatch) -> tuple[tuple, bool]:
         if batch.index_store_dir is not None
         else None
     )
-    probe = make_method(batch.method, batch.method_config)
-    params = probe.index_params()
-    memo_key = (
-        batch.method,
-        tuple(sorted(params.items())),
-        batch.dataset_key,
-        batch.build_budget_seconds,
-        batch.build_memory_bytes,
-        None if batch.reuse_indexes else batch.key,
-    )
-    # Memo first: within one process the live built index (budget-keyed,
-    # so never budget-crossing) beats re-materializing from the store,
-    # and the building run's batches all report consistent provenance.
-    entry = _BUILD_MEMO.get(memo_key)
-    if entry is not None:
-        return entry, False
     if store is not None and batch.reuse_indexes:
-        artifact = store.get(batch.method, params, batch.dataset_key)
+        artifact = store.get(batch.method, index.index_params(), batch.dataset_key)
         if artifact is not None:
-            index = materialize_artifact(artifact, _batch_dataset(batch))
-            provenance = artifact.provenance
-            report = index.build_report
-            entry = (
-                STATUS_OK,
-                index,
-                report,
-                {
-                    "reused": True,
-                    "artifact": artifact.address,
-                    "built_at": provenance.created_at,
-                    "library_version": provenance.library_version,
-                },
-            )
-            # Memoize the hit like a fresh build: the cell's remaining
-            # batches must not repeat the payload import per batch.
-            _BUILD_MEMO[memo_key] = entry
-            return entry, False
-    dataset = _batch_dataset(batch)
-    index = probe
+            index = materialize_artifact(artifact, cached_dataset(batch.dataset))
+            provenance = {
+                "reused": True,
+                "artifact": artifact.address,
+                "built_at": artifact.provenance.created_at,
+                "library_version": artifact.provenance.library_version,
+            }
+            return (STATUS_OK, index, index.build_report, provenance), False
+    dataset = cached_dataset(batch.dataset)
     budget = (
         Budget(
             batch.build_budget_seconds,
@@ -487,35 +478,31 @@ def _built_index_for(batch: QueryBatch) -> tuple[tuple, bool]:
     try:
         report = index.build(dataset, budget=budget)
     except MemoryBudgetExceeded:
-        entry = (STATUS_MEMORY, "")
+        return (STATUS_MEMORY, ""), True
     except BudgetExceeded:
-        entry = (STATUS_TIMEOUT, "")
+        return (STATUS_TIMEOUT, ""), True
     except (MemoryError, RecursionError, ValueError, RuntimeError) as exc:
-        entry = (STATUS_ERROR, f"{type(exc).__name__}: {exc}")
-    else:
-        provenance = {}
-        if store is not None:
-            try:
-                address = store.put(
-                    artifact_from_index(index, batch.dataset_key)
-                )
-            except NotImplementedError:
-                # An index without the payload-split contract (a test
-                # double) still runs; it just cannot be stored/reused.
-                pass
-            else:
-                provenance = {"reused": False, "artifact": address}
-        entry = (STATUS_OK, index, report, provenance)
-    _BUILD_MEMO[memo_key] = entry
-    return entry, True
+        return (STATUS_ERROR, f"{type(exc).__name__}: {exc}"), True
+    provenance = {}
+    if store is not None:
+        try:
+            address = store.put(artifact_from_index(index, batch.dataset_key))
+        except NotImplementedError:
+            # An index without the payload-split contract (a test
+            # double) still runs; it just cannot be stored/reused.
+            pass
+        else:
+            provenance = {"reused": False, "artifact": address}
+    return (STATUS_OK, index, report, provenance), True
 
 
 def run_batch(batch: QueryBatch) -> BatchOutcome:
     """Worker entry point: build/fetch the index, answer this slice.
 
-    Mirrors :func:`repro.core.runner.evaluate_method` per part: method
-    failures become statuses, never exceptions; programming errors
-    (unknown method) propagate.
+    Method failures become statuses, never exceptions — a build that
+    overruns its budget fails the batch, a part that overruns fails
+    that query size only; programming errors (unknown method)
+    propagate.
     """
     entry, built = _built_index_for(batch)
     if entry[0] != STATUS_OK:
@@ -537,8 +524,9 @@ def run_batch(batch: QueryBatch) -> BatchOutcome:
             else None
         )
         try:
-            # Query admission, as in the runner: each part's queries
-            # convert to CSR once before answering.
+            # Query admission: each query converts to CSR once, here,
+            # so filter and verify both see CSR-vs-CSR (queries arrive
+            # from generators/IO as builder graphs).
             records = tuple(
                 record_of(
                     index.query(
@@ -606,19 +594,19 @@ def merge_batches(
     is a pure function of the outcome *set* — completion order cannot
     leak in.  Build fields and provenance come from batch 0, which ran
     the build (or fetched it) before any other batch started; a size's
-    status is the status of its earliest non-OK part (the sequential
-    "first failure aborts the workload" semantics), otherwise its
-    records concatenate in query order and aggregate exactly as the
-    sequential path would.  ``provenance["fresh_batches"]`` counts the
-    batches that ran a build: more than one means duplicated work.
+    status is the status of its earliest non-OK part ("first failure
+    aborts the workload"), otherwise its records concatenate in query
+    order and aggregate as one workload.  ``provenance["fresh_batches"]``
+    counts the batches that ran a build: more than one means duplicated
+    work.
     """
     if not batches:
         raise ValueError("merge_batches needs at least one batch")
     pairs = sorted(zip(batches, outcomes), key=lambda pair: pair[1].batch_index)
     lead_batch, lead = pairs[0]
-    # Any build failure fails the whole cell — the sequential
-    # all-or-nothing semantics: batch 0's, carried by every batch, or
-    # that of a storeless dependent's private rebuild in another worker.
+    # Any build failure fails the whole cell, all or nothing: batch
+    # 0's, carried by every batch, or that of a storeless dependent's
+    # private rebuild in another worker.
     failed_build = next(
         (o for _, o in pairs if o.build_status != STATUS_OK), None
     )

@@ -193,21 +193,17 @@ def _warm_worker(payload: tuple) -> tuple:
     offline engine reuses builds through — and the parent materializes
     it against its own dataset instance.
     """
-    from repro.core.arena import ArenaHandle, cached_dataset
+    from repro.core.arena import cached_dataset
     from repro.indexes.store import artifact_from_index, shared_store
 
     dataset, method, options, digest, store_dir, reuse = payload
-    if isinstance(dataset, ArenaHandle):
-        resolved = cached_dataset(dataset)
-    else:
-        resolved = as_core_dataset(dataset)
     store = shared_store(store_dir) if store_dir else None
     index = make_method(method, options)
     if store is not None and reuse:
         artifact = store.get(method, index.index_params(), digest)
         if artifact is not None:
             return method, artifact, True
-    index.build(resolved)
+    index.build(cached_dataset(dataset))
     artifact = artifact_from_index(index, digest)
     if store is not None:
         store.put(artifact)
@@ -641,7 +637,16 @@ class ServeHandler(BaseHTTPRequestHandler):
         self._send_json(404, {"error": f"unknown path {self.path!r}"})
 
     def _read_json_body(self) -> dict:
-        length = int(self.headers.get("Content-Length", "0"))
+        declared = self.headers.get("Content-Length", "0")
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # read(-1) would block until the client hangs up.
+            raise ServeError(
+                f"Content-Length must be a non-negative integer, got {declared!r}"
+            )
         raw = self.rfile.read(length)
         try:
             document = json.loads(raw.decode("utf-8"))

@@ -12,6 +12,11 @@ property pins the kernels to an independently readable definition:
   ``CSRGraph``;
 * ``tests/test_ullmann.py`` — same answers *and* the same search tree
   (node counts, hence budget poll schedules) as the set engine.
+
+:func:`reference_cell` is the straight-line measurement cell — build,
+query each size, aggregate — that was ``evaluate_method``'s body until
+whole cells became one-batch cells of the batch executor;
+``tests/test_scheduling.py`` holds every split of a cell to it.
 """
 
 from __future__ import annotations
@@ -19,12 +24,24 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from repro.canonical.paths import path_canonical
+from repro.core.metrics import WorkloadStats
+from repro.core.runner import (
+    STATUS_ERROR,
+    STATUS_MEMORY,
+    STATUS_OK,
+    STATUS_TIMEOUT,
+    MethodCell,
+    SizeStats,
+    make_method,
+)
 from repro.features.paths import PathOccurrences
+from repro.graphs.csr import as_core_dataset, as_core_query
 from repro.isomorphism.ullmann import _BUDGET_POLL_INTERVAL, _initial_candidates
-from repro.utils.budget import Budget
+from repro.utils.budget import Budget, BudgetExceeded, MemoryBudgetExceeded
 
 __all__ = [
     "SetDomainState",
+    "reference_cell",
     "set_ullmann_is_subgraph",
     "walk_edge_list",
     "walk_path_features",
@@ -222,3 +239,95 @@ class SetDomainState:
         self.nodes += 1
         if self.nodes % _BUDGET_POLL_INTERVAL == 0:
             self.budget.check()
+
+
+# ----------------------------------------------------------------------
+# the straight-line cell (reference for repro.core.scheduling)
+# ----------------------------------------------------------------------
+
+
+def reference_cell(
+    method_name: str,
+    dataset,
+    workloads,
+    method_config=None,
+    build_budget_seconds: float | None = None,
+    query_budget_seconds: float | None = None,
+    build_memory_bytes: int | None = None,
+    regime: str = "transactional",
+) -> MethodCell:
+    """Build one method over *dataset* and run every workload, in one
+    loop and with no store: the paper's measurement cell as §4 states it.
+
+    Never raises for method failures; statuses record them.
+    """
+    dataset = as_core_dataset(dataset)
+    index = make_method(method_name, method_config)
+    cell = MethodCell(method=method_name, build_status=STATUS_OK)
+    build_budget = (
+        Budget(
+            build_budget_seconds,
+            max_bytes=build_memory_bytes,
+            phase=f"{method_name} build",
+        )
+        if build_budget_seconds is not None or build_memory_bytes is not None
+        else None
+    )
+    try:
+        report = index.build(dataset, budget=build_budget)
+    except MemoryBudgetExceeded:
+        cell.build_status = STATUS_MEMORY
+        return cell
+    except BudgetExceeded:
+        cell.build_status = STATUS_TIMEOUT
+        return cell
+    except (MemoryError, RecursionError, ValueError, RuntimeError) as exc:
+        cell.build_status = STATUS_ERROR
+        cell.build_error = f"{type(exc).__name__}: {exc}"
+        return cell
+    cell.build_seconds = report.seconds
+    cell.index_bytes = report.size_bytes
+    cell.build_details = dict(report.details)
+
+    for size, queries in workloads.items():
+        query_budget = (
+            Budget(query_budget_seconds, phase=f"{cell.method} queries size {size}")
+            if query_budget_seconds is not None
+            else None
+        )
+        admitted = [as_core_query(query) for query in queries]
+        try:
+            results = [
+                index.query(query, budget=query_budget, regime=regime)
+                for query in admitted
+            ]
+        except BudgetExceeded:
+            cell.per_size[size] = SizeStats(status=STATUS_TIMEOUT)
+            continue
+        except (MemoryError, RecursionError, ValueError, RuntimeError) as exc:
+            cell.per_size[size] = SizeStats(
+                status=STATUS_ERROR, error=f"{type(exc).__name__}: {exc}"
+            )
+            continue
+        cell.per_size[size] = SizeStats(
+            status=STATUS_OK, stats=_reference_stats(results)
+        )
+    return cell
+
+
+def _reference_stats(results) -> WorkloadStats:
+    """Per-query results collapsed into the paper's reported quantities
+    (Eq. (3): the FP ratio is the mean of per-query ratios)."""
+    if not results:
+        return WorkloadStats(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    count = len(results)
+    ratios = [result.false_positive_ratio for result in results]
+    return WorkloadStats(
+        num_queries=count,
+        avg_query_seconds=sum(r.total_seconds for r in results) / count,
+        avg_filter_seconds=sum(r.filter_seconds for r in results) / count,
+        avg_verify_seconds=sum(r.verify_seconds for r in results) / count,
+        avg_candidates=sum(len(r.candidates) for r in results) / count,
+        avg_answers=sum(len(r.answers) for r in results) / count,
+        false_positive_ratio=sum(ratios) / len(ratios),
+    )

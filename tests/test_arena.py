@@ -34,11 +34,9 @@ from repro.core.arena import (
     cached_dataset,
     clear_worker_caches,
     live_arenas,
-    run_shared_cell,
-    share_task,
 )
 from repro.core.experiments import nodes_sweep
-from repro.core.parallel import ParallelRunner, run_cells
+from repro.core.parallel import ParallelRunner
 from repro.core.presets import CI_PROFILE
 from repro.core.runner import STATUS_OK, CellTask, run_cell
 from repro.core.serialization import canonical_cell, canonical_json, sweep_digest
@@ -346,18 +344,15 @@ class TestLeaks:
 
     def test_segments_unlinked_after_pool_shutdown(self, dataset, workloads):
         arena = DatasetArena.create(dataset)
-        task = share_task(
-            CellTask(
-                key=("d0", "naive"),
-                method="naive",
-                dataset=dataset,
-                workloads=workloads,
-            ),
-            arena.handle,
+        task = CellTask(
+            key=("d0", "naive"),
+            method="naive",
+            dataset=arena.handle,
+            workloads=workloads,
         )
         with ParallelRunner(jobs=2) as runner:
-            (outcome,) = runner.run([task])
-        assert outcome.cell.build_status == STATUS_OK
+            (cell,) = runner.map(run_cell, [task])
+        assert cell.build_status == STATUS_OK
         arena.close()
         assert not _segment_exists(arena.handle.shm_name)
 
@@ -411,7 +406,7 @@ class TestModeEquivalence:
             )
             plain = run_cell(task)
             with DatasetArena.create(dataset) as arena:
-                shared = run_shared_cell(share_task(task, arena.handle))
+                shared = run_cell(replace(task, dataset=arena.handle))
             assert canonical_cell(shared) == canonical_cell(plain), method
 
     def test_shared_tasks_through_pool_match_sequential(
@@ -427,16 +422,13 @@ class TestModeEquivalence:
             )
             for method, config in METHOD_CONFIGS.items()
         ]
-        sequential = run_cells(tasks, jobs=1)
+        sequential = ParallelRunner(jobs=1).map(run_cell, tasks)
         with DatasetArena.create(dataset) as arena:
-            shared = run_cells(
-                [share_task(task, arena.handle) for task in tasks], jobs=2
+            shared = ParallelRunner(jobs=2).map(
+                run_cell, [replace(task, dataset=arena.handle) for task in tasks]
             )
-        assert list(shared) == list(sequential)
-        for key in sequential:
-            assert canonical_cell(shared[key]) == canonical_cell(
-                sequential[key]
-            ), key
+        for task, plain, attached in zip(tasks, sequential, shared):
+            assert canonical_cell(attached) == canonical_cell(plain), task.key
 
     def test_sweep_byte_identical_across_all_modes(self):
         """Sequential vs shared-mem vs batched (and combinations): the

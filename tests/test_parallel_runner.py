@@ -23,12 +23,7 @@ import time
 import pytest
 
 from repro.core.experiments import nodes_sweep
-from repro.core.parallel import (
-    ParallelRunner,
-    PersistentPool,
-    persistent_pool,
-    run_cells,
-)
+from repro.core.parallel import ParallelRunner, PersistentPool, persistent_pool
 from repro.core.presets import CI_PROFILE
 from repro.core.runner import (
     STATUS_ERROR,
@@ -89,6 +84,17 @@ def make_tasks(dataset, workloads, methods=METHOD_CONFIGS, **budgets):
     ]
 
 
+def run_cells(tasks, jobs, order=None):
+    """``{key: cell}`` of one ``map(run_cell, tasks)``, in task order."""
+    cells = ParallelRunner(jobs=jobs).map(run_cell, tasks, order=order)
+    return {task.key: cell for task, cell in zip(tasks, cells)}
+
+
+def _cell_and_pid(task):
+    """Top-level pool task: the cell plus the pid of whoever ran it."""
+    return run_cell(task), os.getpid()
+
+
 # ----------------------------------------------------------------------
 # sequential ↔ parallel equivalence
 # ----------------------------------------------------------------------
@@ -115,8 +121,8 @@ class TestEquivalence:
         """One worker hop changes nothing vs. calling run_cell inline."""
         task = make_tasks(dataset, workloads)[1]  # ggsx
         inline = run_cell(task)
-        (outcome,) = ParallelRunner(jobs=2).run([task])
-        assert canonical_cell(outcome.cell) == canonical_cell(inline)
+        (cell,) = ParallelRunner(jobs=2).map(run_cell, [task])
+        assert canonical_cell(cell) == canonical_cell(inline)
 
     def test_sweep_serializes_byte_identical(self):
         """A whole sweep, canonicalized, is byte-identical across jobs."""
@@ -230,27 +236,31 @@ class TestDispatch:
             jobs=2, worker_initializer=_record_worker_pid, initargs=(str(tmp_path),)
         )
         with runner:
-            outcomes = runner.run(tasks)
+            outcomes = runner.map(_cell_and_pid, tasks)
 
         started = {int(p.name.split("-")[1]) for p in tmp_path.iterdir()}
         assert len(started) == 2, "jobs=2 should start two worker processes"
         assert os.getpid() not in started
 
-        used = {outcome.worker_pid for outcome in outcomes}
+        used = {pid for _, pid in outcomes}
         assert used <= started
         assert os.getpid() not in used
-        # Wall-clock execution really happened in the workers.
-        assert all(outcome.seconds > 0.0 for outcome in outcomes)
+        # The builds and queries really happened in the workers.
+        assert all(cell.build_status == STATUS_OK for cell, _ in outcomes)
 
     def test_sequential_runs_in_process(self, dataset, workloads):
-        outcomes = ParallelRunner(jobs=1).run(make_tasks(dataset, workloads))
-        assert {o.worker_pid for o in outcomes} == {os.getpid()}
+        outcomes = ParallelRunner(jobs=1).map(
+            _cell_and_pid, make_tasks(dataset, workloads)
+        )
+        assert {pid for _, pid in outcomes} == {os.getpid()}
 
     def test_progress_reports_every_task_once(self, dataset, workloads):
         seen = []
         tasks = make_tasks(dataset, workloads)
-        ParallelRunner(jobs=2).run(
-            tasks, progress=lambda done, total, task: seen.append((done, total))
+        ParallelRunner(jobs=2).map(
+            run_cell,
+            tasks,
+            progress=lambda done, total, task: seen.append((done, total)),
         )
         assert sorted(seen) == [(i, len(tasks)) for i in range(1, len(tasks) + 1)]
 
@@ -260,21 +270,20 @@ class TestDispatch:
     def test_pool_reuse_across_runs(self, dataset, workloads):
         tasks = make_tasks(dataset, workloads, methods={"naive": None})
         with ParallelRunner(jobs=2) as runner:
-            first = runner.run(tasks)
-            second = runner.run(tasks)
-        assert canonical_cell(first[0].cell) == canonical_cell(second[0].cell)
+            first = runner.map(run_cell, tasks)
+            second = runner.map(run_cell, tasks)
+        assert canonical_cell(first[0]) == canonical_cell(second[0])
 
 
 class TestCellMergeOrder:
     def test_merge_order_is_submission_order(self, dataset, workloads):
         """Even when later tasks finish first (naive finishes long before
-        the index builds), outcomes come back in task order."""
+        the index builds), cells come back in task order."""
         methods = {"ggsx": METHOD_CONFIGS["ggsx"], "naive": None}
         tasks = make_tasks(dataset, workloads, methods=methods)
-        outcomes = ParallelRunner(jobs=2).run(tasks)
-        assert [o.key for o in outcomes] == [t.key for t in tasks]
-        assert [o.cell.method for o in outcomes] == ["ggsx", "naive"]
-        assert isinstance(outcomes[0].cell, MethodCell)
+        cells = ParallelRunner(jobs=2).map(run_cell, tasks)
+        assert [cell.method for cell in cells] == ["ggsx", "naive"]
+        assert isinstance(cells[0], MethodCell)
 
     def test_scheduling_order_does_not_change_outcomes(self, dataset, workloads):
         """A longest-first (here: reversed) submission permutation must
@@ -424,10 +433,10 @@ class TestPersistentPool:
         tasks = make_tasks(dataset, workloads, methods={"naive": None})
         with PersistentPool() as pool:
             runner = pool.runner(2)
-            first = runner.run(tasks * 2)
-            second = runner.run(tasks * 2)
-        assert {o.worker_pid for o in second} <= {o.worker_pid for o in first}
-        assert canonical_cell(first[0].cell) == canonical_cell(second[0].cell)
+            first = runner.map(_cell_and_pid, tasks * 2)
+            second = runner.map(_cell_and_pid, tasks * 2)
+        assert {pid for _, pid in second} <= {pid for _, pid in first}
+        assert canonical_cell(first[0][0]) == canonical_cell(second[0][0])
 
     def test_module_singleton_round_trip(self):
         pool = persistent_pool()

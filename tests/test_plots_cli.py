@@ -250,6 +250,38 @@ class TestCliJobs:
         assert measured(parallel) == measured(sequential)
         assert "DISAGREES" not in parallel
 
+    @pytest.mark.parametrize("mode", ["in-process", "pooled", "loaded"])
+    def test_query_admits_the_workload_once_as_csr(
+        self, dataset_file, tmp_path, monkeypatch, mode
+    ):
+        """Every index — built in process, in a pool worker, or loaded
+        from disk — receives already-converted ``CSRGraph`` queries."""
+        from repro.indexes.base import GraphIndex
+
+        query_file = tmp_path / "queries.gfd"
+        main(["queries", str(dataset_file), str(query_file),
+              "--count", "3", "--edges", "3"])
+        args = ["query", str(dataset_file), str(query_file),
+                "--method", "ggsx", "--method", "naive"]
+        if mode == "loaded":
+            index_file = tmp_path / "saved.idx"
+            main(["build", str(dataset_file), "--method", "ggsx",
+                  "--save", str(index_file)])
+            args += ["--load", str(index_file)]
+        args += ["--jobs", "2" if mode == "pooled" else "1"]
+        # A file, not a list: pool workers are forked with this patch.
+        received = tmp_path / "received.log"
+        original = GraphIndex.query
+
+        def logged_query(self, query, **kwargs):
+            with open(received, "a", encoding="utf-8") as log:
+                log.write(type(query).__name__ + "\n")
+            return original(self, query, **kwargs)
+
+        monkeypatch.setattr(GraphIndex, "query", logged_query)
+        assert main(args) == 0
+        assert received.read_text(encoding="utf-8").split() == ["CSRGraph"] * 6
+
     def test_query_rejects_negative_jobs(self, dataset_file, tmp_path, capsys):
         query_file = tmp_path / "queries.gfd"
         main(["queries", str(dataset_file), str(query_file),

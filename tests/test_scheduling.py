@@ -12,13 +12,18 @@ The scheduler's contract has two halves:
 
 from __future__ import annotations
 
+import json
 import random
-from dataclasses import replace
+import tempfile
+from dataclasses import asdict, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.arena import DatasetArena, share_task
-from repro.core.experiments import nodes_sweep
+from repro.core import experiments, scheduling
+from repro.core.arena import DatasetArena
+from repro.core.experiments import nodes_sweep, real_dataset_experiment
 from repro.core.metrics import QueryRecord, summarize_records, summarize_results
 from repro.core.parallel import ParallelRunner
 from repro.core.presets import CI_PROFILE
@@ -42,6 +47,9 @@ from repro.core.scheduling import (
 from repro.core.serialization import canonical_cell, sweep_digest
 from repro.generators.graphgen import GraphGenConfig, generate_dataset
 from repro.generators.queries import generate_queries
+from repro.indexes import ALL_INDEX_CLASSES, NaiveIndex
+
+from oracles import reference_cell
 
 METHOD_CONFIGS = {
     "naive": None,
@@ -105,7 +113,7 @@ class TestLongestFirst:
     def test_shared_task_cost_matches_plain(self, dataset, workloads):
         task = make_task(dataset, workloads)
         with DatasetArena.create(dataset) as arena:
-            shared = share_task(task, arena.handle)
+            shared = replace(task, dataset=arena.handle)
             assert estimate_cost(shared) == estimate_cost(task)
 
     def test_batch_costs_sum_below_cell_cost(self, dataset, workloads):
@@ -296,8 +304,6 @@ class TestBatchMerge:
         """All batches of a cell share one worker-side build (via the
         budget-keyed build memo, as in PR 2)."""
         clear_index_cache()
-        from repro.core import scheduling
-
         task = make_task(dataset, workloads)
         batches = split_cell(task, 3)
         outcomes = [run_batch(batch) for batch in batches]
@@ -400,6 +406,69 @@ class TestBatchMerge:
 
 
 # ----------------------------------------------------------------------
+# every split of a cell equals the straight-line reference cell
+# ----------------------------------------------------------------------
+
+BUDGETS = {
+    "none": {},
+    "zero-build": {"build_budget_seconds": 0.0},
+    "zero-query": {"query_budget_seconds": 0.0},
+}
+
+
+def _cell_json(cell) -> str:
+    return json.dumps(asdict(canonical_cell(cell)), sort_keys=True)
+
+
+class TestSplitsMatchReferenceCell:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_batches=st.sampled_from([1, 2, 3, 5]),
+        method=st.sampled_from(sorted(METHOD_CONFIGS)),
+        stored=st.booleans(),
+        budgets=st.sampled_from(sorted(BUDGETS)),
+    )
+    def test_merged_cell_equals_reference(
+        self, dataset, workloads, num_batches, method, stored, budgets
+    ):
+        expected = _cell_json(
+            reference_cell(
+                method, dataset, workloads,
+                method_config=METHOD_CONFIGS[method], **BUDGETS[budgets],
+            )
+        )
+        task = make_task(dataset, workloads, method=method, **BUDGETS[budgets])
+        with tempfile.TemporaryDirectory() as store_dir:
+            if stored:
+                task = replace(task, index_store_dir=store_dir)
+            batches = split_cell(task, num_batches)
+            # Cold, then again as a fresh process would see the store.
+            for _ in range(2 if stored else 1):
+                clear_index_cache()
+                merged = merge_batches(batches, [run_batch(b) for b in batches])
+                assert _cell_json(merged) == expected
+        clear_index_cache()
+
+
+class TestOneBatchCell:
+    def test_storeless_cell_retains_nothing_and_skips_the_fingerprint(
+        self, dataset, workloads, monkeypatch
+    ):
+        """A whole cell has no later batch to serve: its index is not
+        memoized, and with no store nothing needs the dataset digest."""
+
+        def unexpected(_dataset):
+            raise AssertionError("dataset_fingerprint called")
+
+        monkeypatch.setattr(scheduling, "dataset_fingerprint", unexpected)
+        clear_index_cache()
+        cell = run_cell(make_task(dataset, workloads))
+        assert cell.build_status == STATUS_OK
+        assert cell.provenance == {"fresh_batches": 1}
+        assert scheduling._BUILD_MEMO == {}
+
+
+# ----------------------------------------------------------------------
 # record aggregation mirrors the sequential arithmetic
 # ----------------------------------------------------------------------
 
@@ -462,6 +531,67 @@ class TestSweepOrdering:
             profile, seed=3, jobs=2, shared_mem=True, batch_queries=True
         )
         assert list(batched.cells) == list(sequential.cells)
+
+
+class SpyIndex(NaiveIndex):
+    """Logs its builds and queries (in-process sweeps only)."""
+
+    name = "spy"
+    events: list = []
+
+    def _build(self, dataset, budget):
+        self.events.append(("build", dataset.name))
+        return super()._build(dataset, budget)
+
+    def _filter(self, query, budget):
+        self.events.append(("query", self._dataset.name))
+        return super()._filter(query, budget)
+
+
+class TestStreamedSweep:
+    def test_one_dataset_alive_and_progress_before_each_cell(self, monkeypatch):
+        """A jobs=1 sweep with no engine flag streams its cells: x value
+        k+1's dataset is generated only after every cell of k has
+        returned, and a cell is reported before it runs."""
+        events = SpyIndex.events = []
+
+        def make_dataset(name, scale, seed):
+            events.append(("dataset", name))
+            config = GraphGenConfig(
+                num_graphs=6, mean_nodes=8, mean_density=0.25, num_labels=3
+            )
+            dataset = generate_dataset(config, seed=seed)
+            dataset.name = name
+            return dataset
+
+        monkeypatch.setattr(experiments, "make_real_dataset", make_dataset)
+        monkeypatch.setitem(ALL_INDEX_CLASSES, "spy", SpyIndex)
+        profile = replace(
+            _tiny_profile({"naive": {}, "spy": {}}),
+            query_sizes=(3,),
+            queries_per_size=2,
+        )
+        real_dataset_experiment(
+            profile,
+            names=["a", "b"],
+            seed=3,
+            jobs=1,
+            progress=lambda message: events.append(("progress", message)),
+        )
+        assert events == [
+            ("dataset", "a"),
+            ("progress", "[1/4] dataset=a method=naive"),
+            ("progress", "[2/4] dataset=a method=spy"),
+            ("build", "a"),
+            ("query", "a"),
+            ("query", "a"),
+            ("dataset", "b"),
+            ("progress", "[3/4] dataset=b method=naive"),
+            ("progress", "[4/4] dataset=b method=spy"),
+            ("build", "b"),
+            ("query", "b"),
+            ("query", "b"),
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ daemon lifecycle lives in ``test_cli_serve.py``):
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -276,6 +277,29 @@ class TestHttpEndpoints:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("path", ["/query", "/update"])
+    @pytest.mark.parametrize("declared", ["abc", "-1"])
+    def test_malformed_content_length_is_400(self, live_server, path, declared):
+        """A non-integer length used to kill the handler (empty reply),
+        a negative one to block it in ``read(-1)`` until the client gave
+        up; both are the client's error, answered at once and counted."""
+        server, _ = live_server
+        metrics = server.metrics if path == "/query" else server.update_metrics
+        errors_before = metrics.snapshot()["errors"]
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            connection.putrequest("POST", path)
+            connection.putheader("Content-Length", declared)
+            connection.endheaders()
+            response = connection.getresponse()  # times out on a hang
+            document = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 400
+        assert "Content-Length" in document["error"]
+        assert metrics.snapshot()["errors"] == errors_before + 1
 
     def test_concurrent_clients_get_identical_answers(
         self, live_server, query_texts, batch_answers
