@@ -7,14 +7,7 @@ import inspect
 from pathlib import Path
 
 from repro.core.arena import ArenaHandle, DatasetArena, cached_dataset
-from repro.core.experiments import (
-    density_sweep,
-    graph_count_sweep,
-    labels_sweep,
-    massive_sweep,
-    nodes_sweep,
-    real_dataset_experiment,
-)
+from repro.core.experiments import EXPERIMENTS, run_experiment
 from repro.core.knobs import SINGLE_GRAPH, active_regime, apply_cli_args
 from repro.core.metrics import summarize_results
 from repro.core.parallel import persistent_pool
@@ -32,6 +25,7 @@ from repro.graphs.statistics import dataset_statistics
 from repro.indexes import ALL_INDEX_CLASSES
 from repro.indexes.store import (
     IndexFileError,
+    fetch_or_build,
     load_index,
     materialize_artifact,
     save_index,
@@ -118,117 +112,96 @@ def resolve_regime(args: argparse.Namespace) -> None:
         raise CliError(str(exc))
 
 
-def _shareable(dataset, jobs: int | None):
-    """The dataset itself, or an arena handle when a pool will run.
-
-    ``repro build``/``repro query`` batch per-method pipelines across
-    workers; sharing the dataset through one arena segment keeps it from
-    being pickled once per method.  Returns ``(payload_dataset, arena)``
-    — the caller closes the arena (if any) when done.
-    """
-    if jobs is not None and jobs <= 1:
-        return dataset, None
-    arena = DatasetArena.create(dataset)
-    return arena.handle, arena
+def _budget(seconds: float | None, phase: str) -> Budget | None:
+    """``--budget``: unset is unlimited; 0 expires at the first poll."""
+    return None if seconds is None else Budget(seconds, phase=phase)
 
 
-def _payload_digest(dataset) -> int:
-    """Dataset content digest of a worker payload (free for arenas)."""
-    if isinstance(dataset, ArenaHandle):
-        return dataset.fingerprint
-    return dataset_fingerprint(dataset)
-
-
-def _built_via_store(
-    method: str,
-    options: dict,
-    dataset,
-    store_dir: str | None,
-    materialize: bool = True,
+def _fetch_or_build(
+    method: str, options: dict, dataset, store_dir, budget=None, materialize=True
 ):
-    """Build one method, through the artifact store when configured.
+    """:func:`repro.indexes.store.fetch_or_build` for one method over a
+    worker payload *dataset*, through the artifact store when
+    *store_dir* is set: ``(index, hit)``.
 
-    Returns ``(index, row, digest)`` — the queryable index, a printable
-    build row (``None`` when the caller must build), and the dataset
-    digest already computed for the lookup (to hand back to
-    :func:`_store_built_index`, the O(dataset) fingerprint is paid
-    once).  A store hit skips the build entirely and reports the
-    artifact's provenance (the original measured build seconds);
-    callers that only print the row (``repro build`` without ``--save``)
-    pass ``materialize=False`` to skip the O(payload) import too, and
-    get ``index=None`` on a hit.
+    *hit* is the stored artifact that replaced the build (``None`` for a
+    fresh build, written through); *index* is queryable unless the hit
+    was left unmaterialized — callers that only print its provenance
+    skip the O(payload) import.  Budget overruns propagate.
     """
-    index = make_method(method, options)
     store = shared_store(store_dir) if store_dir else None
-    digest = _payload_digest(dataset) if store is not None else None
-    if store is not None:
-        artifact = store.get(method, index.index_params(), digest)
-        if artifact is not None:
-            provenance = artifact.provenance
-            row = {
-                "method": method,
-                "status": "ok",
-                "seconds": provenance.build_seconds,
-                "size_bytes": provenance.size_bytes,
-                "details": dict(provenance.details),
-                "reused": True,
-            }
-            if not materialize:
-                return None, row, digest
-            resolved = cached_dataset(dataset)
-            return materialize_artifact(artifact, resolved), row, digest
-    return index, None, digest  # caller builds (budgets are caller-specific)
+    digest = None
+    if store is not None:  # the address component; an arena handle carries it
+        shared = isinstance(dataset, ArenaHandle)
+        digest = dataset.fingerprint if shared else dataset_fingerprint(dataset)
+    resolved = cached_dataset(dataset)
+    index, artifact, reused = fetch_or_build(
+        make_method(method, options), resolved, store, digest, budget=budget
+    )
+    if not reused:
+        return index, None
+    return materialize_artifact(artifact, resolved) if materialize else None, artifact
 
 
-def _store_built_index(index, store_dir: str | None, digest: int | None) -> None:
-    """Write a freshly built index through to the artifact store."""
-    if store_dir and digest is not None:
-        from repro.indexes.store import artifact_from_index
-
-        shared_store(store_dir).put(artifact_from_index(index, digest))
-
-
-def _build_worker(payload: tuple) -> dict:
-    """Build one method over the (possibly arena-shared) dataset.
-
-    Top-level so worker processes can import it; budget overruns come
-    back as a status, programming errors propagate like any other
-    pool task.
+def _build_row(payload: tuple, keep_index: bool = False) -> tuple:
+    """Build one method over the (possibly arena-shared) dataset:
+    ``(printable row, index | None)`` — the index only for *keep_index*
+    callers (``--save``).  A store hit reports the artifact's provenance
+    (the original measured build seconds); a budget overrun comes back
+    as a status; programming errors propagate.  Top-level: it is the
+    pool task of a multi-method ``repro build``.
     """
     dataset, method, options, budget_seconds, store_dir = payload
-    index, row, digest = _built_via_store(
-        method, options, dataset, store_dir, materialize=False
-    )
-    if row is not None:
-        return row
-    resolved = cached_dataset(dataset)
-    budget = (
-        Budget(budget_seconds, phase=f"{method} build") if budget_seconds else None
-    )
     try:
-        report = index.build(resolved, budget=budget)
+        index, hit = _fetch_or_build(
+            method, options, dataset, store_dir,
+            _budget(budget_seconds, f"{method} build"), materialize=keep_index,
+        )
     except BudgetExceeded:
-        return {"method": method, "status": "timeout"}
-    _store_built_index(index, store_dir, digest)
-    return {
+        return {"method": method, "status": "timeout"}, None
+    if hit is not None:
+        seconds, report = hit.provenance.build_seconds, hit.provenance
+    else:
+        seconds, report = index.build_report.seconds, index.build_report
+    row = {
         "method": method,
         "status": "ok",
-        "seconds": report.seconds,
+        "seconds": seconds,
         "size_bytes": report.size_bytes,
         "details": dict(report.details),
+        "reused": hit is not None,
     }
+    return row, index if keep_index else None
 
 
 def _query_worker(payload: tuple) -> dict:
     """Build one method and run the workload through it (top-level for
     pool pickling).  Answer sets come back as sorted id tuples so the
     parent can check cross-method agreement without shipping sets."""
-    dataset, queries, method, options, budget_seconds, store_dir = payload
-    index, row, digest = _built_via_store(method, options, dataset, store_dir)
-    if row is None:
-        index.build(cached_dataset(dataset))
-        _store_built_index(index, store_dir, digest)
+    dataset, method, options, budget_seconds, store_dir, queries = payload
+    index, _ = _fetch_or_build(method, options, dataset, store_dir)
     return _run_query_rows(index, queries, budget_seconds)
+
+
+def _map_methods(worker, dataset, jobs: int | None, methods, options, *rest) -> list:
+    """One *worker* task ``(dataset, method, its options, *rest)`` per
+    method across the shared pool, the dataset in one arena segment
+    instead of pickled once per method; ``jobs <= 1`` runs the same
+    queue in-process on the dataset itself."""
+    arena = None
+    if jobs is None or jobs > 1:
+        arena = DatasetArena.create(dataset)
+        dataset = arena.handle
+    try:
+        tasks = [
+            (dataset, method, _supported_options(method, options), *rest)
+            for method in methods
+        ]
+        return persistent_pool().runner(jobs).map(worker, tasks)
+    finally:
+        if arena is not None:
+            arena.close()
+        persistent_pool().close()
 
 
 def _run_query_rows(index, queries, budget_seconds) -> dict:
@@ -238,11 +211,7 @@ def _run_query_rows(index, queries, budget_seconds) -> dict:
     environment here, so pool workers resolve it identically): graph
     ids by default, embedding roots under ``--regime single-graph``.
     """
-    budget = (
-        Budget(budget_seconds, phase=f"{index.name} queries")
-        if budget_seconds
-        else None
-    )
+    budget = _budget(budget_seconds, f"{index.name} queries")
     try:
         results = [
             index.query(query, budget=budget, regime=active_regime())
@@ -315,79 +284,44 @@ def cmd_build(args: argparse.Namespace) -> int:
     jobs = _resolve_jobs(args.jobs)
     options = _parse_options(args.option)
 
+    index = None
     if len(methods) == 1:
-        # The original single-build path — a pool buys nothing for one
-        # build: options unfiltered (a typo'd key should fail loudly),
-        # index kept in-process for --save.
-        method = methods[0]
-        # The index instance is only needed when persisting it.
-        index, row, digest = _built_via_store(
-            method, options, dataset, args.index_store,
-            materialize=bool(args.save),
+        # A pool buys nothing for one build: options unfiltered (a
+        # typo'd key should fail loudly), index kept in-process for
+        # --save (and only then imported on a store hit).
+        row, index = _build_row(
+            (dataset, methods[0], options, args.budget, args.index_store),
+            keep_index=bool(args.save),
         )
-        if row is None:
-            budget = (
-                Budget(args.budget, phase=f"{method} build") if args.budget else None
-            )
-            try:
-                report = index.build(cached_dataset(dataset), budget=budget)
-            except BudgetExceeded:
+        rows = [row]
+    else:
+        # Several methods: each gets the subset of options its
+        # constructor accepts (like `repro query`), but a key NO
+        # selected method knows is certainly a typo and must fail as
+        # loudly as the single-method path does.
+        for key in options:
+            if all(key not in _supported_options(m, options) for m in methods):
                 raise CliError(
-                    f"{method} exceeded the {args.budget:.0f}s build budget "
-                    "(the paper's 'failed to index')"
+                    f"option {key!r} is not accepted by any selected method"
                 )
-            _store_built_index(index, args.index_store, digest)
-            row = {
-                "status": "ok",
-                "seconds": report.seconds,
-                "size_bytes": report.size_bytes,
-                "details": dict(report.details),
-            }
-        _print_build_row(method, len(dataset), row)
-        if args.save:
-            save_index(index, args.save)
-            print(f"saved index to {args.save}")
-        return 0
-
-    # Several methods: each gets the subset of options its constructor
-    # accepts (like `repro query`), but a key NO selected method knows
-    # is certainly a typo and must fail as loudly as the single-method
-    # path does.
-    for key in options:
-        if all(key not in _supported_options(m, options) for m in methods):
-            raise CliError(
-                f"option {key!r} is not accepted by any selected method"
-            )
-    # Batch the builds through the shared pool, with the dataset in one
-    # arena segment instead of pickled per method.
-    payload_dataset, arena = _shareable(dataset, jobs)
-    try:
-        tasks = [
-            (
-                payload_dataset,
-                method,
-                _supported_options(method, options),
-                args.budget,
-                args.index_store,
-            )
-            for method in methods
-        ]
-        rows = persistent_pool().runner(jobs).map(_build_worker, tasks)
-    finally:
-        if arena is not None:
-            arena.close()
-        persistent_pool().close()
+        outcomes = _map_methods(
+            _build_row, dataset, jobs, methods, options, args.budget, args.index_store
+        )
+        rows = [row for row, _ in outcomes]
     timed_out = [row for row in rows if row["status"] == "timeout"]
     for row in rows:
         _print_build_row(row["method"], len(dataset), row)
     if timed_out:
-        # Same contract as the single-method path: a timed-out build is
-        # a failed command, even when other methods finished.
+        # A timed-out build is a failed command, even when other
+        # methods finished.
         names = ", ".join(row["method"] for row in timed_out)
         raise CliError(
             f"{names} exceeded the {args.budget:.0f}s build budget "
             "(the paper's 'failed to index')"
         )
+    if args.save:
+        save_index(index, args.save)
+        print(f"saved index to {args.save}")
     return 0
 
 
@@ -438,40 +372,21 @@ def cmd_query(args: argparse.Namespace) -> int:
     for method in methods:
         _require_known_method(method)
 
-    if len(methods) <= 1 or (jobs is not None and jobs <= 1):
-        # One pipeline (or sequential mode): a pool and an arena would
-        # only add overhead.
-        for method in methods:
-            method_options = _supported_options(method, options)
-            index, row, digest = _built_via_store(
-                method, method_options, dataset, args.index_store
-            )
-            if row is None:
-                index.build(cached_dataset(dataset))
-                _store_built_index(index, args.index_store, digest)
-            rows.append(_run_query_rows(index, queries, args.budget))
-    else:
-        # Batch the per-method build+query pipelines across the pool,
-        # sharing the dataset through one arena segment (ROADMAP item:
-        # `repro query` parallelizes like `repro sweep` does).
-        payload_dataset, arena = _shareable(dataset, jobs)
-        try:
-            tasks = [
-                (
-                    payload_dataset,
-                    tuple(queries),
-                    method,
-                    _supported_options(method, options),
-                    args.budget,
-                    args.index_store,
-                )
-                for method in methods
-            ]
-            rows.extend(persistent_pool().runner(jobs).map(_query_worker, tasks))
-        finally:
-            if arena is not None:
-                arena.close()
-            persistent_pool().close()
+    # Batch the per-method build+query pipelines across the pool; one
+    # pipeline runs in-process, where a pool and an arena would only
+    # add overhead.
+    rows.extend(
+        _map_methods(
+            _query_worker,
+            dataset,
+            jobs if len(methods) > 1 else 1,
+            methods,
+            options,
+            args.budget,
+            args.index_store,
+            tuple(queries),
+        )
+    )
 
     print(f"{len(queries)} queries against {len(dataset)} graphs:")
     reference = None
@@ -748,13 +663,10 @@ def cmd_bench_serve(args: argparse.Namespace) -> int:
                 "--verify needs --dataset (the batch engine answers "
                 "locally for comparison)"
             )
-        index, row, digest = _built_via_store(
+        index, _ = _fetch_or_build(
             method, _supported_options(method, options), dataset,
             args.index_store,
         )
-        if row is None:
-            index.build(as_core_dataset(dataset))
-            _store_built_index(index, args.index_store, digest)
         # Each request carried one query, so the daemon's `answers`
         # payload is a one-element list — mirror that shape here.
         expected = [answers_of([index.query(query)]) for query in queries]
@@ -821,6 +733,20 @@ def _sweep_json_path(base: str, experiment: str, multiple: bool) -> Path:
     return path.with_name(f"{path.stem}-{experiment}{path.suffix or '.json'}")
 
 
+def _line_plots(sweep, figure: str) -> list[str]:
+    """Sub-figures (a) and (c) of *sweep* as ASCII line plots."""
+    return [
+        ascii_plot(
+            f"Figure {figure}(a): indexing time vs {sweep.x_name}",
+            sweep.indexing_time(),
+        ),
+        ascii_plot(
+            f"Figure {figure}(c): query time vs {sweep.x_name}",
+            sweep.query_time(),
+        ),
+    ]
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.core.scheduling import CostHistory
     from repro.core.sharding import (
@@ -838,14 +764,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
 
     profile = active_profile()
-    runners = {
-        "nodes": (nodes_sweep, "2"),
-        "density": (density_sweep, "3"),
-        "labels": (labels_sweep, "5"),
-        "graphs": (graph_count_sweep, "6"),
-        "real": (real_dataset_experiment, "1"),
-        "massive": (massive_sweep, "7"),
-    }
     jobs = _resolve_jobs(args.jobs)
     workers = jobs if jobs is not None else "all cores"
     for method in args.method:
@@ -892,7 +810,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         shared_runner = pool.runner(jobs)
         for experiment in experiments:
-            run, figure = runners[experiment]
+            spec = EXPERIMENTS[experiment]
+            figure = spec.figure
             json_path = (
                 _sweep_json_path(args.json, experiment, len(experiments) > 1)
                 if args.json
@@ -950,7 +869,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"(jobs={workers}{engine})..."
             )
             try:
-                sweep = run(
+                sweep = run_experiment(
+                    experiment,
                     profile,
                     methods=args.method or None,
                     seed=args.seed,
@@ -979,22 +899,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 )
 
             output = []
-            if experiment == "real":
+            if spec.table1:
                 output.append(render_table1(sweep.dataset_stats))
             output.append(render_sweep(sweep, figure))
-            if args.plot and experiment != "real":
-                output.append(
-                    ascii_plot(
-                        f"Figure {figure}(a): indexing time vs {sweep.x_name}",
-                        sweep.indexing_time(),
-                    )
-                )
-                output.append(
-                    ascii_plot(
-                        f"Figure {figure}(c): query time vs {sweep.x_name}",
-                        sweep.query_time(),
-                    )
-                )
+            if args.plot and not spec.table1:
+                output.extend(_line_plots(sweep, figure))
             text = "\n".join(part for part in output if part)
             print(text)
             if args.out:
@@ -1539,16 +1448,5 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(render_table1(sweep.dataset_stats))
     print(render_sweep(sweep, figure, pending=pending))
     if args.plot:
-        print(
-            ascii_plot(
-                f"Figure {figure}(a): indexing time vs {sweep.x_name}",
-                sweep.indexing_time(),
-            )
-        )
-        print(
-            ascii_plot(
-                f"Figure {figure}(c): query time vs {sweep.x_name}",
-                sweep.query_time(),
-            )
-        )
+        print("\n".join(_line_plots(sweep, figure)))
     return 0

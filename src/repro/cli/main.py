@@ -7,6 +7,7 @@ import sys
 from collections.abc import Sequence
 
 from repro.cli import commands
+from repro.core.experiments import EXPERIMENTS
 
 __all__ = ["build_parser", "main"]
 
@@ -139,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "experiment",
         nargs="+",
-        choices=["nodes", "density", "labels", "graphs", "real", "massive"],
+        choices=list(EXPERIMENTS),
         help="which parameter sweep(s) to run; several experiments share "
         "one persistent worker pool (massive = single-graph R-MAT "
         "regime, answers are embedding roots)",
@@ -246,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     launch.add_argument(
         "experiment",
-        choices=["nodes", "density", "labels", "graphs", "real", "massive"],
+        choices=list(EXPERIMENTS),
         help="which parameter sweep to orchestrate",
     )
     launch.add_argument(

@@ -9,13 +9,14 @@ large-graph query processing) is explicit that partitionability is only
 half the story: throughput comes from an *orchestration layer* that
 balances and coordinates the partitions.  This module is that layer:
 
-* **Planning without datasets** — :func:`experiment_grid` derives a
-  sweep's full (x values × methods) grid straight from the scale
-  profile, and :func:`plan_units` prices each cell with the same
-  dataset-size × query-work shape :func:`repro.core.scheduling
-  .estimate_cost` uses, computed from the *configuration* (expected
-  graph count, nodes, density) instead of a generated dataset — so a
-  launch plans a paper-scale sweep in microseconds.
+* **Planning without datasets** — :func:`experiment_grid` reads a
+  sweep's full (x values × methods) grid from the experiment table
+  (:data:`repro.core.experiments.EXPERIMENTS`) and the scale profile,
+  and :func:`plan_units` prices each cell with the same dataset-size ×
+  query-work shape :func:`repro.core.scheduling.estimate_cost` uses,
+  computed from the *config object* the runner would generate from
+  instead of a generated dataset — so a launch plans a paper-scale
+  sweep in microseconds.
 * **Cost-balanced assignment** — :func:`balanced_partition` runs greedy
   longest-processing-time over per-cell estimated seconds
   (:func:`plan_seconds`: measured seconds from a
@@ -56,6 +57,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core.experiments import EXPERIMENTS, Experiment
 from repro.core.presets import ScaleProfile
 from repro.core.scheduling import CostHistory
 from repro.core.sharding import CellSelector
@@ -100,15 +102,13 @@ class DriverError(ValueError):
 # planning: the grid and its estimated costs, without any dataset
 # ----------------------------------------------------------------------
 
-#: experiment name -> (x axis label, profile attribute holding x values).
-_EXPERIMENT_AXES = {
-    "nodes": ("number of nodes", "nodes_values"),
-    "density": ("density", "density_values"),
-    "labels": ("labels", "label_values"),
-    "graphs": ("number of graphs", "graph_count_values"),
-    "real": ("dataset", "real_dataset_names"),
-    "massive": ("scale", "massive_scale_values"),
-}
+
+def _experiment(name: str) -> Experiment:
+    try:
+        return EXPERIMENTS[name]
+    except KeyError:
+        known = ", ".join(EXPERIMENTS)
+        raise DriverError(f"unknown experiment {name!r}; expected one of {known}")
 
 
 def experiment_grid(
@@ -119,28 +119,19 @@ def experiment_grid(
 ) -> tuple[str, list, list[str]]:
     """The ``(x_name, x values, methods)`` a launch covers.
 
-    Mirrors exactly what the sweep functions in
-    :mod:`repro.core.experiments` would address — same profile values,
-    same roster, same selector narrowing — but derived from
-    configuration alone, so the driver can partition cells before a
-    single dataset exists.
+    Read from the same :data:`~repro.core.experiments.EXPERIMENTS`
+    record :func:`~repro.core.experiments.run_experiment` executes —
+    same profile values, same roster, same selector narrowing — so the
+    driver can partition cells before a single dataset exists.
     """
-    if experiment not in _EXPERIMENT_AXES:
-        known = ", ".join(_EXPERIMENT_AXES)
-        raise DriverError(f"unknown experiment {experiment!r}; expected one of {known}")
-    x_name, values_attr = _EXPERIMENT_AXES[experiment]
-    x_values = list(getattr(profile, values_attr))
-    if methods:
-        method_names = list(methods)
-    elif experiment == "massive":
-        # The massive regime has its own default roster (the methods
-        # with single-graph filtering worth measuring).
-        method_names = list(profile.massive_methods)
-    else:
-        method_names = list(profile.method_names())
+    spec = _experiment(experiment)
+    x_values = spec.x_values(profile)
+    method_names = list(methods) if methods else spec.roster(profile)
     if selector is not None:
-        x_values, method_names = selector.narrow(x_values, method_names, x_name)
-    return x_name, x_values, method_names
+        x_values, method_names = selector.narrow(
+            x_values, method_names, spec.x_name
+        )
+    return spec.x_name, x_values, method_names
 
 
 def plan_units(experiment: str, profile: ScaleProfile, x: object) -> float:
@@ -148,46 +139,17 @@ def plan_units(experiment: str, profile: ScaleProfile, x: object) -> float:
 
     The runtime estimator prices a cell as dataset weight × (1 + query
     work) from the generated dataset; the planner computes the same
-    product from the *expected* dataset shape the profile configures —
+    product from the *expected* shape of the config object the runner
+    would generate from, and the query sizes/count it would draw —
     close enough for load balancing, and free.  Deliberately
     method-blind like the runtime estimate; history calibration
     (:func:`plan_seconds`) is what un-blinds it.
     """
-    if experiment == "real":
-        from repro.generators.realsets import REAL_DATASET_SPECS
-
-        spec = REAL_DATASET_SPECS[str(x).upper()].scaled(
-            profile.real_dataset_scale
-        )
-        num_graphs = float(spec.num_graphs)
-        nodes = spec.avg_nodes
-        edges = nodes * spec.avg_degree / 2.0
-    elif experiment == "massive":
-        # One R-MAT graph of 2**scale vertices, edge_factor draws each.
-        num_graphs = 1.0
-        nodes = float(1 << int(x))
-        edges = nodes * profile.massive_edge_factor
-    else:
-        num_graphs = float(
-            x if experiment == "graphs" else profile.default_num_graphs
-        )
-        nodes = float(x if experiment == "nodes" else profile.default_nodes)
-        density = float(
-            x if experiment == "density" else profile.default_density
-        )
-        edges = density * nodes * (nodes - 1.0) / 2.0
+    spec = _experiment(experiment)
+    num_graphs, nodes, edges = spec.expected_shape(profile, x)
     weight = num_graphs * (1.0 + nodes + edges)
-    if experiment == "massive":
-        query_work = float(
-            sum(
-                size * profile.massive_queries_per_size
-                for size in profile.massive_query_sizes
-            )
-        )
-    else:
-        query_work = float(
-            sum(size * profile.queries_per_size for size in profile.query_sizes)
-        )
+    sizes, queries_per_size = spec.query_grid(profile)
+    query_work = float(sum(size * queries_per_size for size in sizes))
     return weight * (1.0 + query_work)
 
 

@@ -1,11 +1,13 @@
 """The paper's experiments as parameter sweeps (Figures 1–6, Table 1).
 
-Each sweep varies exactly one of the five key parameters — number of
-nodes (Fig. 2), density (Figs. 3–4), distinct labels (Fig. 5), number
-of graphs (Fig. 6) — holding the others at the profile's "sane
-defaults", mirroring §4.2's methodology.  The real-dataset experiment
-(Fig. 1, Table 1) evaluates all methods over the four Table 1
-stand-ins.
+§4.2's methodology is one procedure: vary exactly one of the key
+parameters — number of nodes (Fig. 2), density (Figs. 3–4), distinct
+labels (Fig. 5), number of graphs (Fig. 6), the real-dataset stand-in
+(Fig. 1, Table 1), the R-MAT scale of the massive regime — hold the
+others at the profile's "sane defaults", and measure every (x value ×
+method) cell the same way.  :data:`EXPERIMENTS` states what each
+experiment *is* (one :class:`Experiment` record apiece);
+:func:`run_experiment` is the one procedure.
 
 A sweep returns a :class:`SweepResult` holding one
 :class:`~repro.core.runner.MethodCell` per (x value, method); accessor
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from repro.core.arena import ArenaHandle, DatasetArena
 from repro.core.parallel import ParallelRunner
@@ -35,14 +38,21 @@ from repro.core.scheduling import (
 from repro.graphs.dataset import dataset_fingerprint
 from repro.generators.graphgen import GraphGenConfig, generate_dataset
 from repro.generators.queries import generate_queries
-from repro.generators.realsets import make_real_dataset
+from repro.generators.realsets import (
+    REAL_DATASET_SPECS,
+    RealDatasetSpec,
+    make_real_dataset,
+)
 from repro.generators.rmat import RMATConfig, generate_massive_dataset
 from repro.graphs.dataset import GraphDataset
-from repro.graphs.statistics import DatasetStatistics, dataset_statistics
+from repro.graphs.statistics import dataset_statistics
 from repro.indexes.base import SINGLE_GRAPH, TRANSACTIONAL
 
 __all__ = [
+    "EXPERIMENTS",
+    "Experiment",
     "SweepResult",
+    "run_experiment",
     "nodes_sweep",
     "density_sweep",
     "labels_sweep",
@@ -146,14 +156,168 @@ class SweepResult:
 
 
 # ----------------------------------------------------------------------
-# synthetic sweeps (Figures 2, 3+4, 5, 6)
+# the experiment table (Figures 1-6, Table 1, the massive regime)
 # ----------------------------------------------------------------------
 
 
-def nodes_sweep(
+@dataclass(frozen=True, slots=True)
+class Experiment:
+    """One paper experiment: the parameter it varies and how an x value
+    becomes a dataset.  Everything else that differs between experiments
+    — default roster, query sizes and count — follows from ``regime``."""
+
+    #: ``repro sweep`` / ``repro launch`` name.
+    name: str
+    #: Paper figure number the sweep renders as.
+    figure: str
+    #: Human name of the varied parameter (figure x-axis label).
+    x_name: str
+    #: The ``--only`` selector key addressing the axis (besides ``x``).
+    axis_key: str
+    #: :class:`ScaleProfile` attribute holding the default x values.
+    values_attr: str
+    #: ``(profile, x) -> dataset config`` — a :class:`GraphGenConfig`,
+    #: :class:`RMATConfig` or a real-dataset stand-in; the driver prices
+    #: a cell from this same object before any dataset exists.
+    config_for: Callable[[ScaleProfile, object], object]
+    #: ``(config, seed) -> GraphDataset``.
+    generate: Callable[[object, int], GraphDataset]
+    #: Query answer form (:data:`repro.indexes.base.REGIMES`).
+    regime: str = TRANSACTIONAL
+    #: The x values are dataset names: statistics rows are named after
+    #: them and the sweep renders Table 1 instead of line plots.
+    table1: bool = False
+
+    def x_values(self, profile: ScaleProfile) -> list:
+        return list(getattr(profile, self.values_attr))
+
+    def roster(self, profile: ScaleProfile) -> list[str]:
+        """Default methods: the massive regime has its own (the methods
+        with single-graph filtering worth measuring)."""
+        if self.regime == SINGLE_GRAPH:
+            return list(profile.massive_methods)
+        return list(profile.method_names())
+
+    def query_grid(self, profile: ScaleProfile) -> tuple[tuple[int, ...], int]:
+        """``(query sizes, queries per size)`` of every cell's workloads."""
+        if self.regime == SINGLE_GRAPH:
+            return tuple(profile.massive_query_sizes), profile.massive_queries_per_size
+        return tuple(profile.query_sizes), profile.queries_per_size
+
+    def expected_shape(
+        self, profile: ScaleProfile, x: object
+    ) -> tuple[float, float, float]:
+        """Expected ``(graphs, nodes per graph, edges per graph)`` of
+        the dataset :attr:`generate` would produce for *x*, read off the
+        config object — what the driver prices a cell from."""
+        config = self.config_for(profile, x)
+        if isinstance(config, GraphGenConfig):
+            nodes = float(config.mean_nodes)
+            edges = float(config.mean_density) * nodes * (nodes - 1.0) / 2.0
+            return float(config.num_graphs), nodes, edges
+        if isinstance(config, RMATConfig):
+            # One graph of 2**scale vertices, edge_factor draws each.
+            return 1.0, float(config.num_vertices), float(config.num_edge_draws)
+        spec = config.spec  # a real-dataset stand-in's scaled Table 1 row
+        return (
+            float(spec.num_graphs),
+            spec.avg_nodes,
+            spec.avg_nodes * spec.avg_degree / 2.0,
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class _RealStandIn:
+    """Dataset config of the real experiment: a Table 1 stand-in by
+    name, at the profile's scale."""
+
+    name: str
+    scale: float
+
+    @property
+    def spec(self) -> RealDatasetSpec:
+        return REAL_DATASET_SPECS[self.name.upper()].scaled(self.scale)
+
+
+def _sane_defaults_but(varied: str) -> Callable[[ScaleProfile, object], GraphGenConfig]:
+    """§4.2's methodology: the profile's "sane defaults" with exactly
+    one :class:`GraphGenConfig` field set to the x value."""
+
+    def config_for(profile: ScaleProfile, x: object) -> GraphGenConfig:
+        defaults = {
+            "num_graphs": profile.default_num_graphs,
+            "mean_nodes": profile.default_nodes,
+            "mean_density": profile.default_density,
+            "num_labels": profile.default_labels,
+        }
+        return GraphGenConfig(**{**defaults, varied: x})
+
+    return config_for
+
+
+#: Every experiment ``repro sweep`` knows, by name — the one definition
+#: the runner, the driver's planner, the selector language and the CLI
+#: all read.
+EXPERIMENTS: dict[str, Experiment] = {
+    experiment.name: experiment
+    for experiment in (
+        Experiment(
+            name="nodes", figure="2", x_name="number of nodes",
+            axis_key="nodes", values_attr="nodes_values",
+            config_for=_sane_defaults_but("mean_nodes"),
+            generate=generate_dataset,
+        ),
+        Experiment(
+            name="density", figure="3", x_name="density",
+            axis_key="density", values_attr="density_values",
+            config_for=_sane_defaults_but("mean_density"),
+            generate=generate_dataset,
+        ),
+        Experiment(
+            name="labels", figure="5", x_name="labels",
+            axis_key="labels", values_attr="label_values",
+            config_for=_sane_defaults_but("num_labels"),
+            generate=generate_dataset,
+        ),
+        Experiment(
+            name="graphs", figure="6", x_name="number of graphs",
+            axis_key="graphs", values_attr="graph_count_values",
+            config_for=_sane_defaults_but("num_graphs"),
+            generate=generate_dataset,
+        ),
+        Experiment(
+            name="real", figure="1", x_name="dataset",
+            axis_key="dataset", values_attr="real_dataset_names",
+            config_for=lambda profile, x: _RealStandIn(
+                x, profile.real_dataset_scale
+            ),
+            generate=lambda config, seed: make_real_dataset(
+                config.name, scale=config.scale, seed=seed
+            ),
+            table1=True,
+        ),
+        # One graph500-style graph of 2**scale vertices per x value;
+        # queries answer with embedding roots instead of graph ids.
+        Experiment(
+            name="massive", figure="7", x_name="scale",
+            axis_key="scale", values_attr="massive_scale_values",
+            config_for=lambda profile, x: RMATConfig(
+                scale=x,
+                edge_factor=profile.massive_edge_factor,
+                num_labels=profile.massive_labels,
+            ),
+            generate=generate_massive_dataset,
+            regime=SINGLE_GRAPH,
+        ),
+    )
+}
+
+
+def run_experiment(
+    name: str,
     profile: ScaleProfile | None = None,
     methods: Sequence[str] | None = None,
-    values: Sequence[int] | None = None,
+    values: Sequence | None = None,
     seed: int = 0,
     progress: ProgressHook | None = None,
     jobs: int | None = 1,
@@ -164,233 +328,28 @@ def nodes_sweep(
     index_store_dir: str | None = None,
     reuse_indexes: bool = True,
 ) -> SweepResult:
-    """Figure 2: vary the number of nodes per graph."""
+    """Run ``EXPERIMENTS[name]``: every (x value, method) cell, measured
+    the same way.  *values* / *methods* default to the profile's grid
+    and the experiment's roster; *plan* (a
+    :class:`~repro.core.sharding.SweepPlan`) narrows which cells run."""
+    experiment = EXPERIMENTS[name]
     profile = profile or active_profile()
-    return _synthetic_sweep(
-        profile,
-        x_name="number of nodes",
-        values=list(values if values is not None else profile.nodes_values),
-        config_for=lambda x: GraphGenConfig(
-            num_graphs=profile.default_num_graphs,
-            mean_nodes=x,
-            mean_density=profile.default_density,
-            num_labels=profile.default_labels,
-        ),
-        methods=methods,
-        seed=seed,
-        progress=progress,
-        jobs=jobs,
-        shared_mem=shared_mem,
-        batch_queries=batch_queries,
-        runner=runner,
-        plan=plan,
-        index_store_dir=index_store_dir,
-        reuse_indexes=reuse_indexes,
+    method_names = list(
+        methods if methods is not None else experiment.roster(profile)
     )
-
-
-def density_sweep(
-    profile: ScaleProfile | None = None,
-    methods: Sequence[str] | None = None,
-    values: Sequence[float] | None = None,
-    seed: int = 0,
-    progress: ProgressHook | None = None,
-    jobs: int | None = 1,
-    shared_mem: bool = False,
-    batch_queries: bool = False,
-    runner: ParallelRunner | None = None,
-    plan=None,
-    index_store_dir: str | None = None,
-    reuse_indexes: bool = True,
-) -> SweepResult:
-    """Figures 3 and 4: vary the mean graph density."""
-    profile = profile or active_profile()
-    return _synthetic_sweep(
-        profile,
-        x_name="density",
-        values=list(values if values is not None else profile.density_values),
-        config_for=lambda x: GraphGenConfig(
-            num_graphs=profile.default_num_graphs,
-            mean_nodes=profile.default_nodes,
-            mean_density=x,
-            num_labels=profile.default_labels,
-        ),
-        methods=methods,
-        seed=seed,
-        progress=progress,
-        jobs=jobs,
-        shared_mem=shared_mem,
-        batch_queries=batch_queries,
-        runner=runner,
-        plan=plan,
-        index_store_dir=index_store_dir,
-        reuse_indexes=reuse_indexes,
-    )
-
-
-def labels_sweep(
-    profile: ScaleProfile | None = None,
-    methods: Sequence[str] | None = None,
-    values: Sequence[int] | None = None,
-    seed: int = 0,
-    progress: ProgressHook | None = None,
-    jobs: int | None = 1,
-    shared_mem: bool = False,
-    batch_queries: bool = False,
-    runner: ParallelRunner | None = None,
-    plan=None,
-    index_store_dir: str | None = None,
-    reuse_indexes: bool = True,
-) -> SweepResult:
-    """Figure 5: vary the number of distinct labels."""
-    profile = profile or active_profile()
-    return _synthetic_sweep(
-        profile,
-        x_name="labels",
-        values=list(values if values is not None else profile.label_values),
-        config_for=lambda x: GraphGenConfig(
-            num_graphs=profile.default_num_graphs,
-            mean_nodes=profile.default_nodes,
-            mean_density=profile.default_density,
-            num_labels=x,
-        ),
-        methods=methods,
-        seed=seed,
-        progress=progress,
-        jobs=jobs,
-        shared_mem=shared_mem,
-        batch_queries=batch_queries,
-        runner=runner,
-        plan=plan,
-        index_store_dir=index_store_dir,
-        reuse_indexes=reuse_indexes,
-    )
-
-
-def graph_count_sweep(
-    profile: ScaleProfile | None = None,
-    methods: Sequence[str] | None = None,
-    values: Sequence[int] | None = None,
-    seed: int = 0,
-    progress: ProgressHook | None = None,
-    jobs: int | None = 1,
-    shared_mem: bool = False,
-    batch_queries: bool = False,
-    runner: ParallelRunner | None = None,
-    plan=None,
-    index_store_dir: str | None = None,
-    reuse_indexes: bool = True,
-) -> SweepResult:
-    """Figure 6: vary the number of graphs in the dataset."""
-    profile = profile or active_profile()
-    return _synthetic_sweep(
-        profile,
-        x_name="number of graphs",
-        values=list(values if values is not None else profile.graph_count_values),
-        config_for=lambda x: GraphGenConfig(
-            num_graphs=x,
-            mean_nodes=profile.default_nodes,
-            mean_density=profile.default_density,
-            num_labels=profile.default_labels,
-        ),
-        methods=methods,
-        seed=seed,
-        progress=progress,
-        jobs=jobs,
-        shared_mem=shared_mem,
-        batch_queries=batch_queries,
-        runner=runner,
-        plan=plan,
-        index_store_dir=index_store_dir,
-        reuse_indexes=reuse_indexes,
-    )
-
-
-def massive_sweep(
-    profile: ScaleProfile | None = None,
-    methods: Sequence[str] | None = None,
-    values: Sequence[int] | None = None,
-    seed: int = 0,
-    progress: ProgressHook | None = None,
-    jobs: int | None = 1,
-    shared_mem: bool = False,
-    batch_queries: bool = False,
-    runner: ParallelRunner | None = None,
-    plan=None,
-    index_store_dir: str | None = None,
-    reuse_indexes: bool = True,
-) -> SweepResult:
-    """Massive single-graph regime: vary the R-MAT scale.
-
-    Each x value is one graph500-style graph of ``2**scale`` vertices;
-    queries answer with embedding roots instead of graph ids.  The
-    whole engine surface — sharded plans, arenas, query batching, the
-    artifact store — behaves exactly as in the transactional sweeps.
-    """
-    profile = profile or active_profile()
-    return _synthetic_sweep(
-        profile,
-        x_name="scale",
-        values=list(
-            values if values is not None else profile.massive_scale_values
-        ),
-        config_for=lambda x: RMATConfig(
-            scale=x,
-            edge_factor=profile.massive_edge_factor,
-            num_labels=profile.massive_labels,
-        ),
-        methods=list(
-            methods if methods is not None else profile.massive_methods
-        ),
-        seed=seed,
-        progress=progress,
-        jobs=jobs,
-        shared_mem=shared_mem,
-        batch_queries=batch_queries,
-        runner=runner,
-        plan=plan,
-        index_store_dir=index_store_dir,
-        reuse_indexes=reuse_indexes,
-        generate=generate_massive_dataset,
-        query_sizes=profile.massive_query_sizes,
-        queries_per_size=profile.massive_queries_per_size,
-        regime=SINGLE_GRAPH,
-    )
-
-
-def _synthetic_sweep(
-    profile: ScaleProfile,
-    x_name: str,
-    values: list,
-    config_for: Callable[[object], object],
-    methods: Sequence[str] | None,
-    seed: int,
-    progress: ProgressHook | None,
-    jobs: int | None = 1,
-    shared_mem: bool = False,
-    batch_queries: bool = False,
-    runner: ParallelRunner | None = None,
-    plan=None,
-    index_store_dir: str | None = None,
-    reuse_indexes: bool = True,
-    generate: Callable = generate_dataset,
-    query_sizes: tuple[int, ...] | None = None,
-    queries_per_size: int | None = None,
-    regime: str = TRANSACTIONAL,
-) -> SweepResult:
-    method_names = list(methods if methods is not None else profile.method_names())
-    xs = list(values)
+    xs = list(values if values is not None else experiment.x_values(profile))
     run_keys: set | None = None
     if plan is not None:
-        xs, method_names = plan.subgrid(xs, method_names, x_name)
+        xs, method_names = plan.subgrid(xs, method_names, experiment.x_name)
         run_keys = set(plan.cells_to_run(xs, method_names))
-    sizes = profile.query_sizes if query_sizes is None else tuple(query_sizes)
+    sizes, queries_per_size = experiment.query_grid(profile)
     result = SweepResult(
-        x_name=x_name,
+        x_name=experiment.x_name,
         x_values=xs,
         methods=method_names,
         query_sizes=sizes,
     )
+
     def tasks():
         for x in xs:
             wanted = [
@@ -402,21 +361,29 @@ def _synthetic_sweep(
                 # Every cell of this x is outside the shard or already
                 # completed — skip the dataset generation entirely.
                 continue
-            dataset = generate(config_for(x), seed=seed)
-            workloads = _make_workloads(
-                dataset, profile, seed,
-                query_sizes=sizes, queries_per_size=queries_per_size,
+            dataset = experiment.generate(experiment.config_for(profile, x), seed)
+            workloads = _make_workloads(dataset, sizes, queries_per_size, seed)
+            result.dataset_stats[x] = dataset_statistics(
+                dataset, name=x if experiment.table1 else None
             )
-            result.dataset_stats[x] = dataset_statistics(dataset)
             digest = (
                 dataset_fingerprint(dataset)
                 if index_store_dir is not None or batch_queries
                 else None
             )
             for method in wanted:
-                yield _cell_task(
-                    (x, method), method, dataset, workloads, profile,
-                    index_store_dir, reuse_indexes, digest, regime,
+                yield CellTask(
+                    key=(x, method),
+                    method=method,
+                    dataset=dataset,
+                    workloads=workloads,
+                    method_config=profile.method_configs.get(method),
+                    build_budget_seconds=profile.build_budget_seconds,
+                    query_budget_seconds=profile.query_budget_seconds,
+                    index_store_dir=index_store_dir,
+                    reuse_indexes=reuse_indexes,
+                    dataset_digest=digest,
+                    regime=experiment.regime,
                 )
 
     total = (
@@ -426,7 +393,7 @@ def _synthetic_sweep(
         result,
         tasks(),
         total,
-        x_name,
+        experiment.x_name,
         jobs,
         progress,
         shared_mem=shared_mem,
@@ -439,112 +406,20 @@ def _synthetic_sweep(
     return result
 
 
-# ----------------------------------------------------------------------
-# real datasets (Figure 1, Table 1)
-# ----------------------------------------------------------------------
+#: The paper's sweeps by their historical names: ``run_experiment``
+#: with the experiment fixed (Figure 2, Figures 3+4, Figure 5, Figure 6
+#: and the massive single-graph regime).
+nodes_sweep = partial(run_experiment, "nodes")
+density_sweep = partial(run_experiment, "density")
+labels_sweep = partial(run_experiment, "labels")
+graph_count_sweep = partial(run_experiment, "graphs")
+massive_sweep = partial(run_experiment, "massive")
 
 
-def real_dataset_experiment(
-    profile: ScaleProfile | None = None,
-    methods: Sequence[str] | None = None,
-    names: Sequence[str] | None = None,
-    seed: int = 0,
-    progress: ProgressHook | None = None,
-    jobs: int | None = 1,
-    shared_mem: bool = False,
-    batch_queries: bool = False,
-    runner: ParallelRunner | None = None,
-    plan=None,
-    index_store_dir: str | None = None,
-    reuse_indexes: bool = True,
-) -> SweepResult:
-    """Figure 1 and Table 1: all methods over the real-dataset stand-ins."""
-    profile = profile or active_profile()
-    method_names = list(methods if methods is not None else profile.method_names())
-    dataset_names = list(names if names is not None else profile.real_dataset_names)
-    run_keys: set | None = None
-    if plan is not None:
-        dataset_names, method_names = plan.subgrid(
-            dataset_names, method_names, "dataset"
-        )
-        run_keys = set(plan.cells_to_run(dataset_names, method_names))
-    result = SweepResult(
-        x_name="dataset",
-        x_values=dataset_names,
-        methods=method_names,
-        query_sizes=profile.query_sizes,
-    )
-    def tasks():
-        for name in dataset_names:
-            wanted = [
-                m
-                for m in method_names
-                if run_keys is None or (name, m) in run_keys
-            ]
-            if not wanted:
-                continue
-            dataset = make_real_dataset(
-                name, scale=profile.real_dataset_scale, seed=seed
-            )
-            workloads = _make_workloads(dataset, profile, seed)
-            result.dataset_stats[name] = dataset_statistics(dataset, name=name)
-            digest = (
-                dataset_fingerprint(dataset)
-                if index_store_dir is not None or batch_queries
-                else None
-            )
-            for method in wanted:
-                yield _cell_task(
-                    (name, method), method, dataset, workloads, profile,
-                    index_store_dir, reuse_indexes, digest,
-                )
-
-    total = (
-        len(dataset_names) * len(method_names)
-        if run_keys is None
-        else len(run_keys)
-    )
-    _dispatch(
-        result,
-        tasks(),
-        total,
-        "dataset",
-        jobs,
-        progress,
-        shared_mem=shared_mem,
-        batch_queries=batch_queries,
-        runner=runner,
-        history=None if plan is None else plan.history,
-    )
-    if plan is not None:
-        plan.finalize(result)
-    return result
-
-
-def _cell_task(
-    key,
-    method,
-    dataset,
-    workloads,
-    profile: ScaleProfile,
-    index_store_dir: str | None = None,
-    reuse_indexes: bool = True,
-    dataset_digest: int | None = None,
-    regime: str = TRANSACTIONAL,
-) -> CellTask:
-    return CellTask(
-        key=key,
-        method=method,
-        dataset=dataset,
-        workloads=workloads,
-        method_config=profile.method_configs.get(method),
-        build_budget_seconds=profile.build_budget_seconds,
-        query_budget_seconds=profile.query_budget_seconds,
-        index_store_dir=index_store_dir,
-        reuse_indexes=reuse_indexes,
-        dataset_digest=dataset_digest,
-        regime=regime,
-    )
+def real_dataset_experiment(profile=None, methods=None, names=None, *args, **kwargs):
+    """Figure 1 and Table 1: ``run_experiment("real", ...)`` with the
+    x values spelled *names*."""
+    return run_experiment("real", profile, methods, names, *args, **kwargs)
 
 
 def _dispatch(
@@ -744,20 +619,11 @@ def _run_batched(
 
 
 def _make_workloads(
-    dataset: GraphDataset,
-    profile: ScaleProfile,
-    seed: int,
-    query_sizes: tuple[int, ...] | None = None,
-    queries_per_size: int | None = None,
+    dataset: GraphDataset, sizes: Sequence[int], count: int, seed: int
 ) -> dict[int, list]:
-    """Per-size random-walk workloads; sizes the dataset cannot yield
-    (all graphs too small) are skipped, as with 32-edge queries on tiny
-    CI-scale stand-ins.  The massive sweep passes its own sizes/count;
-    everything else inherits the profile's."""
-    sizes = profile.query_sizes if query_sizes is None else query_sizes
-    count = (
-        profile.queries_per_size if queries_per_size is None else queries_per_size
-    )
+    """*count* random-walk queries per size; sizes the dataset cannot
+    yield (all graphs too small) are skipped, as with 32-edge queries on
+    tiny CI-scale stand-ins."""
     workloads: dict[int, list] = {}
     for size in sizes:
         try:

@@ -442,28 +442,19 @@ def _built_index_for(batch: QueryBatch) -> tuple[tuple, bool]:
 
 
 def _fetch_or_build(batch: QueryBatch, index: GraphIndex) -> tuple[tuple, bool]:
-    """The explicit artifact store (memory LRU, then disk) when one is
-    configured and reuse is on — a hit materializes a fresh index and
-    reports the *original* build's provenance; else a budgeted build of
-    *index*, written through to the store."""
-    from repro.indexes.store import artifact_from_index, materialize_artifact, shared_store
+    """:func:`repro.indexes.store.fetch_or_build` as cell statuses: a
+    hit in the explicit artifact store (memory LRU, then disk)
+    materializes a fresh index and reports the *original* build's
+    provenance; else a budgeted build of *index*, written through to
+    the store, whose failures become statuses."""
+    # repro.indexes.store imports the package root, which imports this
+    from repro.indexes.store import fetch_or_build, materialize_artifact, shared_store
 
     store = (
         shared_store(batch.index_store_dir)
         if batch.index_store_dir is not None
         else None
     )
-    if store is not None and batch.reuse_indexes:
-        artifact = store.get(batch.method, index.index_params(), batch.dataset_key)
-        if artifact is not None:
-            index = materialize_artifact(artifact, cached_dataset(batch.dataset))
-            provenance = {
-                "reused": True,
-                "artifact": artifact.address,
-                "built_at": artifact.provenance.created_at,
-                "library_version": artifact.provenance.library_version,
-            }
-            return (STATUS_OK, index, index.build_report, provenance), False
     dataset = cached_dataset(batch.dataset)
     budget = (
         Budget(
@@ -476,24 +467,30 @@ def _fetch_or_build(batch: QueryBatch, index: GraphIndex) -> tuple[tuple, bool]:
         else None
     )
     try:
-        report = index.build(dataset, budget=budget)
+        index, artifact, reused = fetch_or_build(
+            index, dataset, store, batch.dataset_key, batch.reuse_indexes, budget
+        )
     except MemoryBudgetExceeded:
         return (STATUS_MEMORY, ""), True
     except BudgetExceeded:
         return (STATUS_TIMEOUT, ""), True
     except (MemoryError, RecursionError, ValueError, RuntimeError) as exc:
         return (STATUS_ERROR, f"{type(exc).__name__}: {exc}"), True
-    provenance = {}
-    if store is not None:
-        try:
-            address = store.put(artifact_from_index(index, batch.dataset_key))
-        except NotImplementedError:
-            # An index without the payload-split contract (a test
-            # double) still runs; it just cannot be stored/reused.
-            pass
-        else:
-            provenance = {"reused": False, "artifact": address}
-    return (STATUS_OK, index, report, provenance), True
+    if reused:
+        # Outside the status mapping: an artifact that does not fit its
+        # dataset (IndexStoreError, a RuntimeError) is not a method failure.
+        index = materialize_artifact(artifact, dataset)
+        provenance = {
+            "reused": True,
+            "artifact": artifact.address,
+            "built_at": artifact.provenance.created_at,
+            "library_version": artifact.provenance.library_version,
+        }
+    elif artifact is not None:
+        provenance = {"reused": False, "artifact": artifact.address}
+    else:
+        provenance = {}
+    return (STATUS_OK, index, index.build_report, provenance), not reused
 
 
 def run_batch(batch: QueryBatch) -> BatchOutcome:

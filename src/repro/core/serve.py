@@ -76,6 +76,16 @@ __all__ = [
 class ServeError(RuntimeError):
     """A service that cannot warm up or answer (bad method, bad query)."""
 
+    def __init__(self, message: str, status: int = 400) -> None:
+        super().__init__(message)
+        #: The HTTP status the daemon answers this failure with.
+        self.status = status
+
+
+#: Largest request body the daemon reads; a larger declared
+#: ``Content-Length`` is a 413 before a single body byte is buffered.
+_MAX_BODY_BYTES = 64 * 1024 * 1024
+
 
 # ----------------------------------------------------------------------
 # request metrics: what /metrics reports and the load generator asserts
@@ -186,28 +196,34 @@ def answers_of(results) -> list[list[int]]:
 
 
 def _warm_worker(payload: tuple) -> tuple:
-    """Pool-side warm-up: build (or fetch) one method, return its artifact.
+    """Warm-up task: build (or fetch) one method — ``(method, index,
+    artifact, reused)``.
 
-    Top-level for pickling.  The heavy structure crosses back as an
-    :class:`~repro.indexes.store.IndexArtifact` — the same contract the
-    offline engine reuses builds through — and the parent materializes
-    it against its own dataset instance.
+    Top-level for pickling.  In a pool worker the heavy structure
+    crosses back as an :class:`~repro.indexes.store.IndexArtifact` only
+    (``index`` is ``None``: a built index holds its dataset) — the same
+    contract the offline engine reuses builds through — and the parent
+    materializes it against its own dataset instance; in-process the
+    built index itself is kept.
     """
     from repro.core.arena import cached_dataset
-    from repro.indexes.store import artifact_from_index, shared_store
+    from repro.indexes.store import (
+        artifact_from_index,
+        fetch_or_build,
+        shared_store,
+    )
 
-    dataset, method, options, digest, store_dir, reuse = payload
-    store = shared_store(store_dir) if store_dir else None
-    index = make_method(method, options)
-    if store is not None and reuse:
-        artifact = store.get(method, index.index_params(), digest)
-        if artifact is not None:
-            return method, artifact, True
-    index.build(cached_dataset(dataset))
-    artifact = artifact_from_index(index, digest)
-    if store is not None:
-        store.put(artifact)
-    return method, artifact, False
+    dataset, method, options, digest, store_dir, reuse, in_process = payload
+    index, artifact, reused = fetch_or_build(
+        make_method(method, options),
+        cached_dataset(dataset),
+        shared_store(store_dir) if store_dir else None,
+        digest,
+        reuse,
+    )
+    if artifact is None:  # built without a store to write through to
+        artifact = artifact_from_index(index, digest)
+    return method, index if in_process else None, artifact, reused
 
 
 class QueryService:
@@ -294,60 +310,42 @@ class QueryService:
         workers through a shared-memory arena (one dataset segment, not
         one pickle per method); built structures come back as store
         artifacts and are materialized against this process's dataset.
-        Sequential warm-up (the default) builds in-process.
+        Sequential warm-up (the default) runs the same tasks in-process
+        and keeps the built indexes.
         """
-        from repro.indexes.store import (
-            artifact_from_index,
-            materialize_artifact,
-            shared_store,
-        )
+        from repro.core.arena import DatasetArena
+        from repro.core.parallel import ParallelRunner, persistent_pool
+        from repro.indexes.store import materialize_artifact
 
         pending = [m for m in self.methods if m not in self._states]
         if not pending:
             return self._states
         # --jobs convention: None = all cores, 1 = sequential.
         parallel = (jobs is None or jobs > 1) and len(pending) > 1
-        if parallel:
-            from repro.core.arena import DatasetArena
-            from repro.core.parallel import persistent_pool
-
-            arena = DatasetArena.create(self.dataset)
-            try:
-                tasks = [
-                    (
-                        arena.handle,
-                        method,
-                        self._options_for(method),
-                        self.dataset_digest,
-                        self.index_store_dir,
-                        self.reuse_indexes,
-                    )
-                    for method in pending
-                ]
-                outcomes = persistent_pool().runner(jobs).map(_warm_worker, tasks)
-            finally:
-                arena.close()
-            for method, artifact, reused in outcomes:
-                index = materialize_artifact(artifact, self.dataset)
-                self._install(method, index, artifact, reused)
-            return self._states
-        store = shared_store(self.index_store_dir) if self.index_store_dir else None
-        for method in pending:
-            index = make_method(method, self._options_for(method))
-            artifact = None
-            reused = False
-            if store is not None and self.reuse_indexes:
-                artifact = store.get(
-                    method, index.index_params(), self.dataset_digest
+        # Not persistent_pool().runner(1): that would close a live pool
+        # of another size under whoever owns it.
+        runner = persistent_pool().runner(jobs) if parallel else ParallelRunner(jobs=1)
+        arena = DatasetArena.create(self.dataset) if parallel else None
+        try:
+            tasks = [
+                (
+                    self.dataset if arena is None else arena.handle,
+                    method,
+                    self._options_for(method),
+                    self.dataset_digest,
+                    self.index_store_dir,
+                    self.reuse_indexes,
+                    not parallel,
                 )
-                if artifact is not None:
-                    index = materialize_artifact(artifact, self.dataset)
-                    reused = True
-            if artifact is None:
-                index.build(self.dataset)
-                artifact = artifact_from_index(index, self.dataset_digest)
-                if store is not None:
-                    store.put(artifact)
+                for method in pending
+            ]
+            outcomes = runner.map(_warm_worker, tasks)
+        finally:
+            if arena is not None:
+                arena.close()
+        for method, index, artifact, reused in outcomes:
+            if index is None:
+                index = materialize_artifact(artifact, self.dataset)
             self._install(method, index, artifact, reused)
         return self._states
 
@@ -647,6 +645,12 @@ class ServeHandler(BaseHTTPRequestHandler):
             raise ServeError(
                 f"Content-Length must be a non-negative integer, got {declared!r}"
             )
+        if length > _MAX_BODY_BYTES:
+            raise ServeError(
+                f"request body of {length} bytes exceeds the "
+                f"{_MAX_BODY_BYTES}-byte limit",
+                status=413,
+            )
         raw = self.rfile.read(length)
         try:
             document = json.loads(raw.decode("utf-8"))
@@ -678,7 +682,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             self.server.metrics.record(
                 time.perf_counter() - started, error=True
             )
-            self._send_json(400, {"error": str(exc)})
+            self._send_json(exc.status, {"error": str(exc)})
             return
         self.server.metrics.record(time.perf_counter() - started)
         self._send_json(200, response)
@@ -699,7 +703,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             self.server.update_metrics.record(
                 time.perf_counter() - started, error=True
             )
-            self._send_json(400, {"error": str(exc)})
+            self._send_json(exc.status, {"error": str(exc)})
             return
         finally:
             service.note_pending_update(-1)

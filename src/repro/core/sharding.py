@@ -53,7 +53,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.experiments import SweepResult
+from repro.core.experiments import EXPERIMENTS, SweepResult
 from repro.core.runner import MethodCell
 from repro.core.scheduling import CostHistory
 from repro.core.serialization import (
@@ -98,12 +98,7 @@ _MANIFEST_SCHEMA = MANIFEST_SCHEMA
 
 #: Figure x-axis label -> the selector key that addresses it.
 _AXIS_KEYS = {
-    "number of nodes": "nodes",
-    "density": "density",
-    "labels": "labels",
-    "number of graphs": "graphs",
-    "dataset": "dataset",
-    "scale": "scale",
+    experiment.x_name: experiment.axis_key for experiment in EXPERIMENTS.values()
 }
 
 #: Every key the selector language accepts.

@@ -57,6 +57,7 @@ from repro.graphs.dataset import (
 )
 from repro.indexes import ALL_INDEX_CLASSES
 from repro.indexes.base import BuildReport, GraphIndex
+from repro.utils.budget import Budget
 from repro.utils.hashing import stable_hash
 
 __all__ = [
@@ -69,6 +70,7 @@ __all__ = [
     "artifact_address",
     "artifact_from_index",
     "clear_stores",
+    "fetch_or_build",
     "lineage_address",
     "load_index",
     "materialize_artifact",
@@ -606,6 +608,44 @@ class IndexStore:
     def _drop_address(self, address: str) -> None:
         with self._lock:
             self._memory.pop(address, None)
+
+
+def fetch_or_build(
+    index: GraphIndex,
+    dataset: GraphDataset,
+    store: IndexStore | None = None,
+    dataset_digest: int | None = None,
+    reuse: bool = True,
+    budget: Budget | None = None,
+) -> tuple[GraphIndex | None, IndexArtifact | None, bool]:
+    """The one build-or-fetch: ``(index, artifact, reused)``.
+
+    With a *store* and *reuse*, a stored build of the unbuilt *index*'s
+    ``(method, index_params)`` over *dataset_digest* is a **hit**:
+    ``(None, artifact, True)`` — nothing is built or imported; callers
+    that need to query pay :func:`materialize_artifact` themselves,
+    callers that only report provenance do not.  Otherwise *index* is
+    built over *dataset* under *budget* and, with a store, written
+    through: ``(index, artifact, False)``, the artifact ``None`` when
+    there is no store (nothing is exported) or the index lacks the
+    payload-split contract (it still builds; it just cannot be reused).
+
+    Budget overruns and build errors propagate, and store nothing.
+    """
+    if store is not None and reuse:
+        artifact = store.get(index.name, index.index_params(), dataset_digest)
+        if artifact is not None:
+            return None, artifact, True
+    index.build(dataset, budget=budget)
+    artifact = None
+    if store is not None:
+        try:
+            artifact = artifact_from_index(index, dataset_digest)
+        except NotImplementedError:
+            pass
+        else:
+            store.put(artifact)
+    return index, artifact, False
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli.main import build_parser
+from repro.core.experiments import EXPERIMENTS
 
 REPO = Path(__file__).resolve().parent.parent
 DOC_FILES = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
@@ -116,6 +117,31 @@ class TestCliReference:
             match = TABLE_FLAG.match(line.strip())
             if match:
                 assert match.group(1) in help_text
+
+    @pytest.mark.parametrize("name", ["sweep", "launch"])
+    def test_experiment_rows_list_exactly_the_experiment_table(self, name):
+        """The `experiment` positional's row names every ``EXPERIMENTS``
+        entry, in table order, and nothing else; ``--only``'s row names
+        every axis key."""
+        section = _cli_md_sections()[name]
+        row = next(
+            line for line in section.splitlines()
+            if line.startswith("| `experiment`")
+        )
+        choices = row.split("|")[3]
+        assert re.findall(r"`(\w+)`", choices)[: len(EXPERIMENTS)] == list(EXPERIMENTS)
+        positional = next(
+            a for a in _subcommands()[name]._actions if a.dest == "experiment"
+        )
+        assert list(positional.choices) == list(EXPERIMENTS)
+        if name == "sweep":
+            only = next(
+                line for line in section.splitlines() if line.startswith("| `--only")
+            )
+            listed = re.search(r"axis name \(([^)]*)\)", only).group(1)
+            assert re.findall(r"`(\w+)`", listed) == [
+                e.axis_key for e in EXPERIMENTS.values()
+            ]
 
     def test_exit_codes_and_env_vars_documented(self):
         text = (REPO / "docs" / "cli.md").read_text(encoding="utf-8")

@@ -12,6 +12,7 @@ where real sweeps run.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -38,7 +39,8 @@ from repro.core.driver import (
     shard_json_path,
     stride_partition,
 )
-from repro.core.presets import CI_PROFILE
+from repro.core.experiments import EXPERIMENTS, run_experiment
+from repro.core.presets import CI_PROFILE, PAPER_PROFILE
 from repro.core.scheduling import CostHistory
 from repro.core.sharding import (
     CellAssignment,
@@ -53,22 +55,56 @@ from repro.core.sharding import (
 # ----------------------------------------------------------------------
 
 
+#: Every experiment, small enough to execute in a unit test.
+TINY_PROFILE = replace(
+    CI_PROFILE,
+    nodes_values=(8, 12),
+    density_values=(0.2, 0.3),
+    label_values=(2, 3),
+    graph_count_values=(6, 10),
+    default_num_graphs=8,
+    default_nodes=10,
+    default_density=0.2,
+    default_labels=3,
+    query_sizes=(3,),
+    queries_per_size=2,
+    real_dataset_names=("PCM", "PPI"),
+    method_configs={"naive": {}},
+    massive_scale_values=(5, 6),
+    massive_query_sizes=(3,),
+    massive_methods=("naive",),
+)
+
+
 class TestExperimentGrid:
     @pytest.mark.parametrize(
         "experiment, values_attr",
-        [
-            ("nodes", "nodes_values"),
-            ("density", "density_values"),
-            ("labels", "label_values"),
-            ("graphs", "graph_count_values"),
-            ("real", "real_dataset_names"),
-        ],
+        [(e.name, e.values_attr) for e in EXPERIMENTS.values()],
     )
     def test_matches_the_profile_grid(self, experiment, values_attr):
         x_name, xs, methods = experiment_grid(experiment, CI_PROFILE)
         assert xs == list(getattr(CI_PROFILE, values_attr))
-        assert methods == list(CI_PROFILE.method_names())
+        roster = (
+            CI_PROFILE.massive_methods
+            if experiment == "massive"
+            else CI_PROFILE.method_names()
+        )
+        assert methods == list(roster)
         assert x_name  # every experiment has an axis label
+
+    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+    def test_the_planned_grid_is_the_executed_grid(self, experiment):
+        """What the driver partitions before any dataset exists is what
+        the runner then addresses: same axis, same x values, same roster."""
+        result = run_experiment(experiment, TINY_PROFILE, seed=1)
+        assert experiment_grid(experiment, TINY_PROFILE) == (
+            result.x_name,
+            result.x_values,
+            result.methods,
+        )
+        assert list(result.cells) == [
+            (x, m) for x in result.x_values for m in result.methods
+        ]
 
     def test_method_restriction(self):
         _, _, methods = experiment_grid(
@@ -93,6 +129,44 @@ class TestExperimentGrid:
             experiment_grid("fig7", CI_PROFILE)
 
 
+PRE_TABLE_PLAN_UNITS = {
+    "ci": {
+        "nodes": [221399.99999999997, 349920.0, 504360.0, 784620.0,
+                  1123199.9999999998, 1817100.0, 2863620.0],
+        "density": [523800.0000000001, 598320.0, 672840.0, 784620.0,
+                    933659.9999999999, 1157220.0, 1455300.0],
+        "labels": [784620.0] * 7,
+        "graphs": [523079.99999999994, 1046159.9999999999,
+                   2092319.9999999998, 4184639.9999999995],
+        "real": [4541325.9474788, 320785.33253288997, 118088.92631455393,
+                 293256.91707969183],
+        "massive": [48405.0, 96789.0],
+    },
+    "paper": {
+        "nodes": [489831625.0, 872395375.0, 1348724750.0, 1918819750.0,
+                  2582680375.0, 3340306625.0, 4191698500.0, 6175779125.0,
+                  8534922250.0, 14378396000.0, 21722119750.0, 30566093500.0,
+                  52754791000.0, 80944488500.0, 115135186000.0,
+                  155326883500.0, 201519581000.0, 253713278500.0,
+                  311907976000.0],
+        "density": [1803300500.0, 1922720400.0, 2042140300.0,
+                    2161560200.0000005, 2280980100.0, 2400400000.0,
+                    2997499500.0, 3594599000.0, 4191698500.0, 4788798000.0,
+                    5385897500.000001, 5982997000.0, 6580096500.0,
+                    7177196000.0, 8371395000.0, 9565594000.000002,
+                    10759793000.0, 11953992000.0, 13148191000.0,
+                    25090181000.0, 37032171000.0],
+        "labels": [4191698500.0] * 8,
+        "graphs": [4191698500.0, 10479246250.0, 20958492500.0, 31437738750.0,
+                   41916985000.0, 104792462500.0, 209584925000.0,
+                   419169850000.0],
+        "real": [22329721000.0, 21485392302.0, 5659405077.0,
+                 3816968455.3999996],
+        "massive": [67125489.0, 268501233.0, 1074004209.0],
+    },
+}
+
+
 class TestPlanCosts:
     def test_units_grow_with_graph_count(self):
         units = [plan_units("graphs", CI_PROFILE, x) for x in (40, 80, 320)]
@@ -106,6 +180,27 @@ class TestPlanCosts:
         assert plan_units("density", CI_PROFILE, 0.30) > plan_units(
             "density", CI_PROFILE, 0.05
         )
+
+    @pytest.mark.parametrize("profile", [CI_PROFILE, PAPER_PROFILE, TINY_PROFILE])
+    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+    def test_units_positive_and_monotone_along_numeric_axes(
+        self, experiment, profile
+    ):
+        spec = EXPERIMENTS[experiment]
+        units = [plan_units(experiment, profile, x) for x in spec.x_values(profile)]
+        assert all(value > 0.0 for value in units)
+        if not spec.table1:  # dataset names have no order
+            assert units == sorted(units)
+
+    @pytest.mark.parametrize("profile", [CI_PROFILE, PAPER_PROFILE])
+    def test_units_are_the_values_planned_before_the_table(self, profile):
+        """Literal ``plan_units`` of every (experiment, x) taken at the
+        commit before ``EXPERIMENTS`` existed: reading the dataset shape
+        off the config object must not re-price a single cell."""
+        for experiment, expected in PRE_TABLE_PLAN_UNITS[profile.name].items():
+            xs = EXPERIMENTS[experiment].x_values(profile)
+            assert [plan_units(experiment, profile, x) for x in xs] == expected
+        assert set(PRE_TABLE_PLAN_UNITS[profile.name]) == set(EXPERIMENTS)
 
     def test_real_datasets_priced_from_their_specs(self):
         # Prices follow the scaled Table 1 stand-in shapes: at CI scale

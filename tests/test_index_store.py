@@ -13,17 +13,21 @@ import pickle
 
 import pytest
 
+from repro.utils.budget import Budget, BudgetExceeded
+
 from repro.core.runner import evaluate_method, make_method
 from repro.core.serialization import canonical_cell
 from repro.generators.graphgen import GraphGenConfig, generate_dataset
 from repro.generators.queries import generate_queries
 from repro.graphs.dataset import dataset_fingerprint
+from repro.indexes import ALL_INDEX_CLASSES
 from repro.indexes.store import (
     IndexStore,
     IndexStoreError,
     artifact_address,
     artifact_from_index,
     clear_stores,
+    fetch_or_build,
     materialize_artifact,
     read_artifact,
     read_artifact_header,
@@ -74,6 +78,119 @@ def build(name, dataset):
     index = make_method(name, METHOD_CONFIGS[name])
     index.build(dataset)
     return index
+
+
+# ----------------------------------------------------------------------
+# fetch_or_build: the one build-or-fetch every caller goes through
+# ----------------------------------------------------------------------
+
+
+def _store_of(kind, tmp_path):
+    return {
+        "none": None,
+        "memory": IndexStore(),
+        "disk": IndexStore(tmp_path / "store"),
+    }[kind]
+
+
+REUSE = pytest.mark.parametrize("reuse", [True, False], ids=["reuse", "no-reuse"])
+STORE_KINDS = pytest.mark.parametrize("kind", ["none", "memory", "disk"])
+ROSTER = pytest.mark.parametrize("name", list(ALL_INDEX_CLASSES))
+#: The index-free baseline has no build loop to poll a budget from.
+BUDGET_POLLING = pytest.mark.parametrize(
+    "name", [name for name in ALL_INDEX_CLASSES if name != "naive"]
+)
+
+
+class TestFetchOrBuild:
+    def unbuilt(self, name):
+        return make_method(name, METHOD_CONFIGS.get(name, {}))
+
+    @REUSE
+    @STORE_KINDS
+    @ROSTER
+    def test_miss_writes_through_once_and_a_hit_reports_the_original(
+        self, name, kind, reuse, dataset, digest, queries, tmp_path
+    ):
+        store = _store_of(kind, tmp_path)
+        built, artifact, reused = fetch_or_build(
+            self.unbuilt(name), dataset, store, digest, reuse
+        )
+        assert not reused and built.build_report.seconds >= 0.0
+        # No store: nothing is exported at all.
+        assert (artifact is None) == (store is None)
+        if store is None:
+            return
+        assert store.stats.puts == 1
+        assert artifact.address == artifact_address(
+            name, built.index_params(), digest
+        )
+        again, fetched, reused = fetch_or_build(
+            self.unbuilt(name), dataset, store, digest, reuse
+        )
+        assert reused == reuse
+        if not reuse:
+            # A forced rebuild is a fresh build, written through again.
+            assert again is not None and store.stats.puts == 2
+            return
+        # A hit builds and imports nothing; the artifact carries the
+        # first build's measurements, not re-measured ones.
+        assert again is None and store.stats.puts == 1
+        assert fetched.provenance.build_seconds == built.build_report.seconds
+        assert fetched.provenance.size_bytes == built.build_report.size_bytes
+        served = materialize_artifact(fetched, dataset)
+        assert [served.query(q).answers for q in queries] == [
+            built.query(q).answers for q in queries
+        ]
+
+    def test_an_index_without_the_payload_contract_still_builds(
+        self, dataset, digest
+    ):
+        class Opaque(ALL_INDEX_CLASSES["naive"]):
+            def _export_payload(self):
+                raise NotImplementedError("no payload split")
+
+        store = IndexStore()
+        index, artifact, reused = fetch_or_build(Opaque(), dataset, store, digest)
+        assert index.build_report is not None and artifact is None and not reused
+        assert store.stats.puts == 0
+
+    @REUSE
+    @STORE_KINDS
+    @BUDGET_POLLING
+    def test_zero_budget_raises_and_stores_nothing(
+        self, name, kind, reuse, dataset, digest, tmp_path
+    ):
+        store = _store_of(kind, tmp_path)
+        with pytest.raises(BudgetExceeded):
+            fetch_or_build(
+                self.unbuilt(name), dataset, store, digest, reuse, Budget(0.0)
+            )
+        if store is not None:
+            assert store.stats.puts == 0 and len(store) == 0
+            assert store.entries() == []
+
+    @REUSE
+    @ROSTER
+    def test_truncated_artifact_is_a_miss_the_rebuild_overwrites(
+        self, name, reuse, dataset, digest, tmp_path
+    ):
+        store = _store_of("disk", tmp_path)
+        _, artifact, _ = fetch_or_build(
+            self.unbuilt(name), dataset, store, digest, reuse
+        )
+        path = store.path_of(artifact.address)
+        path.write_bytes(path.read_bytes()[:20])
+        restarted = IndexStore(store.root)  # a later process: cold memory tier
+        rebuilt, _, reused = fetch_or_build(
+            self.unbuilt(name), dataset, restarted, digest, reuse
+        )
+        assert not reused and rebuilt is not None
+        assert read_artifact_header(path).address == artifact.address
+        _, _, reused = fetch_or_build(
+            self.unbuilt(name), dataset, IndexStore(store.root), digest
+        )
+        assert reused
 
 
 # ----------------------------------------------------------------------

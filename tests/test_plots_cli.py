@@ -206,6 +206,34 @@ class TestCliJobs:
         assert "TIMED OUT" in captured.out
         assert "budget" in captured.err
 
+    @pytest.mark.parametrize(
+        "methods", [["ggsx"], ["ggsx", "ctindex"]], ids=["one", "pooled"]
+    )
+    def test_build_zero_budget_fails_at_once(self, dataset_file, capsys, methods):
+        """``--budget 0`` is a budget that expires at the first poll —
+        as in the sweep engine — not "no budget"."""
+        args = ["build", str(dataset_file), "--budget", "0", "--jobs", "2"]
+        for method in methods:
+            args += ["--method", method]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out.count("TIMED OUT") == len(methods)
+        assert "built" not in captured.out
+        assert "0s build budget" in captured.err
+
+    def test_query_zero_budget_times_every_method_out(
+        self, dataset_file, tmp_path, capsys
+    ):
+        query_file = tmp_path / "queries.gfd"
+        main(["queries", str(dataset_file), str(query_file),
+              "--count", "2", "--edges", "3"])
+        capsys.readouterr()
+        code = main(["query", str(dataset_file), str(query_file),
+                     "--method", "ggsx", "--method", "naive", "--budget", "0"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.count("TIMED OUT") == 2 and " avg " not in out
+
     def test_build_partial_timeout_still_fails(self, dataset_file, capsys):
         """One timed-out method fails the command even when others
         finish — same contract as the single-method path."""

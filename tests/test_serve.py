@@ -301,6 +301,30 @@ class TestHttpEndpoints:
         assert "Content-Length" in document["error"]
         assert metrics.snapshot()["errors"] == errors_before + 1
 
+    @pytest.mark.parametrize("path", ["/query", "/update"])
+    def test_oversized_content_length_is_413(self, live_server, path):
+        """A declared body above the cap is refused before any of it is
+        read — the request sends no body at all, so a handler that tried
+        to buffer the declared length would hang until the timeout."""
+        from repro.core.serve import _MAX_BODY_BYTES
+
+        server, _ = live_server
+        metrics = server.metrics if path == "/query" else server.update_metrics
+        errors_before = metrics.snapshot()["errors"]
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            connection.putrequest("POST", path)
+            connection.putheader("Content-Length", str(_MAX_BODY_BYTES + 1))
+            connection.endheaders()
+            response = connection.getresponse()  # times out on a hang
+            document = json.loads(response.read())
+        finally:
+            connection.close()
+        assert response.status == 413
+        assert str(_MAX_BODY_BYTES) in document["error"]
+        assert metrics.snapshot()["errors"] == errors_before + 1
+
     def test_concurrent_clients_get_identical_answers(
         self, live_server, query_texts, batch_answers
     ):

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.experiments import graph_count_sweep
+from repro.core.experiments import EXPERIMENTS, graph_count_sweep
 from repro.core.presets import CI_PROFILE
 from repro.core.runner import MethodCell, SizeStats
 from repro.core.metrics import WorkloadStats
@@ -139,6 +139,31 @@ class TestSelectorNarrow:
     def test_wrong_axis_key_rejected(self):
         with pytest.raises(SelectorError, match="does not apply to this sweep"):
             self.narrow("density=0.2")
+
+
+class TestAxisKeysFollowTheExperimentTable:
+    """The selector language lists no axes of its own: each experiment's
+    ``axis_key`` (and the generic ``x``) addresses its x axis, and every
+    other experiment's key is the wrong-axis error."""
+
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_own_keys_resolve_and_foreign_keys_are_rejected(self, name):
+        experiment = EXPERIMENTS[name]
+        xs = experiment.x_values(CI_PROFILE)
+        methods = experiment.roster(CI_PROFILE)
+        for key in (experiment.axis_key, "x"):
+            selector = parse_only([f"{key}={xs[-1]}"])
+            assert selector.narrow(xs, methods, experiment.x_name) == (
+                [xs[-1]],
+                methods,
+            )
+        foreign = {e.axis_key for e in EXPERIMENTS.values()} - {experiment.axis_key}
+        assert len(foreign) == len(EXPERIMENTS) - 1  # axis keys are distinct
+        for key in sorted(foreign):
+            with pytest.raises(SelectorError, match="does not apply to this sweep"):
+                parse_only([f"{key}={xs[-1]}"]).narrow(
+                    xs, methods, experiment.x_name
+                )
 
 
 # ----------------------------------------------------------------------
