@@ -75,13 +75,43 @@ def as_core_query(query):
     pair.  The query gets a private label table; every canonicalized
     quantity is a function of label objects, not ids, so sharing the
     dataset's table is unnecessary.  The array-only consumers (feature
-    enumeration, Ullmann's bit matrix, gCode's counters) call this on
+    enumeration, Ullmann's adjacency rows, gCode's counters) call this on
     whatever they are handed, which is a no-op ``isinstance`` for every
     graph that was admitted upstream.
     """
     if isinstance(query, CSRGraph):
         return query
     return CSRGraph.from_graph(query)
+
+
+def _induced_rows(
+    indptr: np.ndarray, indices: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays of the subgraph induced by *keep* (sorted, unique).
+
+    The kept rows are sliced out of *indices* in one gather, every
+    neighbor is relabeled to its rank in *keep* by one ``searchsorted``,
+    and neighbors outside *keep* are dropped.  The relabel is monotone,
+    so each run stays sorted and vertex ``i`` of the result is
+    ``keep[i]`` — iteration order over the subgraph is iteration order
+    over the original.
+    """
+    starts = indptr[keep]
+    lengths = indptr[keep + 1] - starts
+    # Entry j of the gather reads indices[starts[row] + (j - first[row])].
+    first = np.cumsum(lengths) - lengths
+    cols = indices[
+        np.arange(int(lengths.sum()), dtype=np.int64)
+        + np.repeat(starts - first, lengths)
+    ]
+    rank = np.searchsorted(keep, cols)
+    inside = keep[np.minimum(rank, keep.shape[0] - 1)] == cols
+    rows = np.repeat(np.arange(keep.shape[0], dtype=np.int64), lengths)
+    sub_indptr = np.zeros(keep.shape[0] + 1, dtype=np.int64)
+    np.cumsum(
+        np.bincount(rows[inside], minlength=keep.shape[0]), out=sub_indptr[1:]
+    )
+    return sub_indptr, rank[inside].astype(np.int64, copy=False)
 
 
 class CSRGraph:
@@ -94,8 +124,8 @@ class CSRGraph:
     binary-searches a contiguous slice.
 
     Per-graph caches (neighbor tuples and frozensets, label groups,
-    neighbor-label counts) are filled lazily and amortize across every
-    query verified against the graph.
+    candidate rows, neighbor-label counts, adjacency rows) are filled
+    lazily and amortize across every query verified against the graph.
     """
 
     __slots__ = (
@@ -113,7 +143,11 @@ class CSRGraph:
         "_histogram",
         "_neighbor_label_counts",
         "_label_id_of",
+        "_candidates",
         "_adjacency_bits",
+        "_adjacency_rows",
+        "_labels",
+        "match_plan",
     )
 
     def __init__(
@@ -138,7 +172,13 @@ class CSRGraph:
         self._histogram: dict[Label, int] | None = None
         self._neighbor_label_counts: list[dict[Label, int]] | None = None
         self._label_id_of: dict[Label, int] | None = None
+        self._candidates: dict[tuple[Label, int], tuple[int, ...]] | None = None
         self._adjacency_bits: np.ndarray | None = None
+        self._adjacency_rows: list[int] | None = None
+        self._labels: tuple[Label, ...] | None = None
+        #: This graph's VF2 plan as a query, cached by
+        #: :func:`repro.isomorphism.vf2.match_plan` (opaque here).
+        self.match_plan = None
 
     @classmethod
     def from_graph(
@@ -189,9 +229,11 @@ class CSRGraph:
 
     @property
     def labels(self) -> tuple[Label, ...]:
-        """Tuple of labels indexed by vertex."""
-        table = self._label_table
-        return tuple(table[i] for i in self._label_ids.tolist())
+        """Tuple of labels indexed by vertex (cached)."""
+        if self._labels is None:
+            table = self._label_table
+            self._labels = tuple(table[i] for i in self._label_ids.tolist())
+        return self._labels
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Ascending tuple of vertices adjacent to *v* (cached)."""
@@ -319,31 +361,38 @@ class CSRGraph:
         """Vertices with *label* and degree ≥ *min_degree*, ascending.
 
         One vectorized mask over the label-id and degree arrays — the
-        root-candidate filter of VF2 and Ullmann's initial domains.
-        Vertices this drops would fail the matchers' per-vertex label
-        and degree feasibility checks anyway, so filtering here never
-        changes an answer, only skips doomed branches earlier.
+        root-candidate filter of VF2 and Ullmann's initial domains —
+        cached per ``(label, min_degree)``: the single-graph filter and
+        the verifier ask for the same rows, and every query vertex with
+        the same label and degree reuses them.  Vertices this drops
+        would fail the matchers' per-vertex label and degree
+        feasibility checks anyway, so filtering here never changes an
+        answer, only skips doomed branches earlier.
         """
-        if self._label_id_of is None:
-            self._label_id_of = {
-                lbl: i for i, lbl in enumerate(self._label_table)
-            }
-        lid = self._label_id_of.get(label)
-        if lid is None:
-            return ()
-        mask = self._label_ids == lid
-        if min_degree > 0:
-            mask &= self.degrees_array() >= min_degree
-        return tuple(np.nonzero(mask)[0].tolist())
+        cache = self._candidates
+        if cache is None:
+            cache = self._candidates = {}
+        found = cache.get((label, min_degree))
+        if found is None:
+            if self._label_id_of is None:
+                self._label_id_of = {
+                    lbl: i for i, lbl in enumerate(self._label_table)
+                }
+            lid = self._label_id_of.get(label)
+            if lid is None:
+                return ()
+            mask = self._label_ids == lid
+            if min_degree > 0:
+                mask &= self.degrees_array() >= min_degree
+            found = cache[label, min_degree] = tuple(np.nonzero(mask)[0].tolist())
+        return found
 
     def adjacency_bitmatrix(self) -> np.ndarray:
         """The packed adjacency bit matrix (cached; do not write).
 
         Row ``v`` is ``ceil(order / 64)`` little-endian uint64 words
-        with bit ``w`` set iff ``{v, w}`` is an edge — the structure
-        Ullmann's bitset engine refines domains against, built in one
-        vectorized scatter and amortized across every query verified
-        on this graph.
+        with bit ``w`` set iff ``{v, w}`` is an edge, built in one
+        vectorized scatter; :meth:`adjacency_rows` unpacks it.
         """
         cached = self._adjacency_bits
         if cached is None:
@@ -362,6 +411,24 @@ class CSRGraph:
                 )
             cached = self._adjacency_bits = matrix
         return cached
+
+    def adjacency_rows(self) -> list[int]:
+        """The adjacency bit matrix as one Python ``int`` per vertex
+        (cached; treat as read-only).
+
+        Bit ``w`` of ``rows[v]`` is set iff ``{v, w}`` is an edge — the
+        rows Ullmann's engine ANDs candidate domains against, one
+        C-level operation per row whatever the graph's width.
+        """
+        if self._adjacency_rows is None:
+            matrix = self.adjacency_bitmatrix()
+            stride = matrix.shape[1] * 8
+            raw = matrix.astype("<u8", copy=False).tobytes()
+            self._adjacency_rows = [
+                int.from_bytes(raw[start : start + stride], "little")
+                for start in range(0, self._order * stride, stride)
+            ]
+        return self._adjacency_rows
 
     def neighbor_label_counts(self) -> list[dict[Label, int]]:
         """Per-vertex neighbor-label histograms, computed once.
@@ -420,21 +487,21 @@ class CSRGraph:
             return False
         return len(self.connected_components()) == 1
 
-    def induced_subgraph(self, vertices: Iterable[int]) -> tuple[Graph, list[int]]:
+    def induced_subgraph(
+        self, vertices: Iterable[int]
+    ) -> tuple["CSRGraph", list[int]]:
         """The subgraph induced by *vertices* plus the vertex map.
 
-        Returns a builder :class:`Graph` — projections are small,
-        short-lived, and immediately handed to the matcher, which is
-        written against the protocol both classes implement.
+        Returns a :class:`CSRGraph` sharing this graph's label table;
+        its vertex ``i`` is ``mapping[i]`` here (ascending, so neighbor
+        runs stay sorted).  Built by :func:`_induced_rows` — Grapes'
+        component projections and Ullmann's compact host both go
+        through it.
         """
         mapping = sorted(set(vertices))
-        index_of = {v: i for i, v in enumerate(mapping)}
-        labels = [self.label(v) for v in mapping]
-        sub = Graph(labels)
-        for v in mapping:
-            for w in self.neighbors(v):
-                if v < w and w in index_of:
-                    sub.add_edge(index_of[v], index_of[w])
+        keep = np.asarray(mapping, dtype=np.int64)
+        indptr, indices = _induced_rows(self._indptr, self._indices, keep)
+        sub = CSRGraph(self._label_table, self._label_ids[keep], indptr, indices)
         return sub, mapping
 
     # ------------------------------------------------------------------

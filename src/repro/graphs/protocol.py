@@ -1,19 +1,19 @@
 """The read-only graph protocol: what a graph can be asked.
 
 :class:`~repro.graphs.graph.Graph` (the mutable builder — also the type
-of generated queries, mined patterns and ``induced_subgraph``
-projections) and :class:`~repro.graphs.csr.CSRGraph` (the immutable
-representation every data graph and admitted query runs on) both
-implement every accessor below, with identical answers on equal graphs;
-``tests/test_graph_core.py::TestAccessorParity`` is the conformance
-test.  The matchers, the STwig decomposition and the vertex-ordering
-heuristics are written against this protocol alone, so they accept
-either class without probing.
+of generated queries and mined patterns) and
+:class:`~repro.graphs.csr.CSRGraph` (the immutable representation every
+data graph, admitted query and ``induced_subgraph`` projection of one
+runs on) both implement every accessor below, with identical answers
+on equal graphs; ``tests/test_graph_core.py::TestAccessorParity`` is
+the conformance test.  The matchers, the STwig decomposition and the
+vertex-ordering heuristics are written against this protocol alone, so
+they accept either class without probing.
 
 Code that needs the flat arrays themselves (the feature enumerations,
-Ullmann's bit matrix, gCode's counters) admits its input with
-:func:`repro.graphs.csr.as_core_query` and then uses ``CSRGraph``'s
-array accessors, which are not part of this protocol.
+Ullmann's adjacency rows and compact hosts, gCode's counters) admits
+its input with :func:`repro.graphs.csr.as_core_query` and then uses
+``CSRGraph``'s array accessors, which are not part of this protocol.
 
 The class is used in annotations only: nothing subclasses it and
 nothing checks it at run time.
@@ -89,5 +89,6 @@ class LabeledGraph(Protocol):
     def induced_subgraph(
         self, vertices: Iterable[int]
     ) -> tuple["LabeledGraph", list[int]]:
-        """The subgraph induced by *vertices* (a builder ``Graph``) and
-        the map from its vertex ids back to this graph's."""
+        """The subgraph induced by *vertices*, in this graph's own
+        representation, and the ascending map from its vertex ids back
+        to this graph's."""

@@ -56,7 +56,7 @@ from repro.isomorphism.decompose import (
     initial_domains,
     prune_domains,
 )
-from repro.isomorphism.ullmann import ullmann_is_subgraph
+from repro.isomorphism.ullmann import compile_query
 from repro.isomorphism.vf2 import SubgraphMatcher
 from repro.utils.budget import Budget
 from repro.utils.sizeof import deep_sizeof
@@ -97,17 +97,18 @@ class QueryResult:
 
     The answer form is regime-polymorphic.  In the transactional
     regime (the default), ``candidates`` and ``answers`` hold *graph
-    ids* and ``domains`` is ``None``.  In the single-graph regime they
-    hold *data-vertex ids* — candidates and verified embedding roots
-    for the query's anchor vertex — and ``domains`` carries the full
-    per-query-vertex candidate domains the filter produced.  The
-    derived metrics (:attr:`false_positive_ratio` et al.) read the
-    same either way.
+    ids*.  In the single-graph regime they hold *data-vertex ids* —
+    candidates and verified embedding roots for the query's anchor
+    vertex; a caller that needs every query vertex's candidate domain
+    asks :meth:`GraphIndex.filter_vertices`.  The derived metrics
+    (:attr:`false_positive_ratio` et al.) read the same either way.
 
-    Serialization contract: results with default ``regime``/``domains``
-    pickle to bytes identical to the four-field layout every prior
-    release produced, and four-field pickles load with the new fields
-    defaulted — sealed bench records stay valid both ways.
+    Serialization contract: transactional results pickle to bytes
+    identical to the four-field layout every prior release produced;
+    single-graph results pickle to the six-field layout of the releases
+    that also carried per-vertex domains, with ``None`` in the domains
+    slot.  Both layouts load (a stored domains entry is ignored) —
+    sealed bench records stay valid both ways.
     """
 
     #: Filter survivors: graph ids, or anchor-vertex candidates.
@@ -120,31 +121,35 @@ class QueryResult:
     verify_seconds: float
     #: Which answer form this result carries.
     regime: str = TRANSACTIONAL
-    #: Per-query-vertex candidate domains (single-graph regime only).
-    domains: tuple[frozenset[int], ...] | None = None
 
     def __getstate__(self) -> list:
         # The dataclass-generated state for a frozen slots class is the
         # list of field values in declaration order.  Emit the legacy
-        # four-item list whenever the new fields sit at their defaults,
-        # keeping transactional pickles byte-identical across releases.
+        # four-item list for transactional results, keeping their
+        # pickles byte-identical across releases.
         state = [
             self.candidates,
             self.answers,
             self.filter_seconds,
             self.verify_seconds,
         ]
-        if self.regime != TRANSACTIONAL or self.domains is not None:
-            state += [self.regime, self.domains]
+        if self.regime != TRANSACTIONAL:
+            state += [self.regime, None]
         return state
 
     def __setstate__(self, state: list) -> None:
         values = list(state)
         if len(values) == 4:
-            values += [TRANSACTIONAL, None]
+            values.append(TRANSACTIONAL)
+        elif len(values) == 6:
+            del values[5]  # the per-vertex domains earlier releases kept
+        else:
+            raise ValueError(
+                f"QueryResult state has {len(values)} items, expected 4 or 6"
+            )
         for name, value in zip(
             ("candidates", "answers", "filter_seconds", "verify_seconds",
-             "regime", "domains"),
+             "regime"),
             values,
         ):
             object.__setattr__(self, name, value)
@@ -398,6 +403,9 @@ class GraphIndex(ABC):
         vertex (the STwig decomposition's first root; *root*, for a
         caller that already decomposed the query) is pinned and the
         domain-constrained Ullmann search stops at its first embedding.
+        The query is compiled once, over the subgraph its domains
+        induce; a root then costs one pinned domain row and one search.
+        A budget that runs out raises — no partial root set is returned.
         """
         self._require_built()
         data = self._single_graph()
@@ -405,27 +413,14 @@ class GraphIndex(ABC):
             return set()
         if root is None:
             root = embedding_root(query, data)
+        compiled = compile_query(query, data, domains)
         answers = set()
         for vertex in sorted(domains[root]):
             if budget is not None:
                 budget.check()
-            if self._verify_root(query, data, root, vertex, domains, budget):
+            if compiled is not None and compiled.embeds(budget, pin=(root, vertex)):
                 answers.add(vertex)
         return answers
-
-    def _verify_root(
-        self,
-        query: Graph,
-        data: Graph,
-        root: int,
-        vertex: int,
-        domains: list[set[int]],
-        budget: Budget | None,
-    ) -> bool:
-        """Does some embedding map query vertex *root* onto *vertex*?"""
-        pinned = [set(domain) for domain in domains]
-        pinned[root] = {vertex}
-        return ullmann_is_subgraph(query, data, budget=budget, domains=pinned)
 
     def _single_graph(self) -> Graph:
         """The regime's one data graph; rejects multi-graph datasets."""
@@ -493,7 +488,6 @@ class GraphIndex(ABC):
             filter_seconds=filter_timer.elapsed,
             verify_seconds=verify_timer.elapsed,
             regime=SINGLE_GRAPH,
-            domains=tuple(frozenset(domain) for domain in domains),
         )
 
     # ------------------------------------------------------------------

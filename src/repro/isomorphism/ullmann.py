@@ -9,16 +9,24 @@ data neighbors.  Refinement propagates to a fixpoint, pruning far from
 the failure point — at the cost of touching the whole matrix per node
 of the search tree.
 
-Candidate domains are packed uint64 rows, one bit per data vertex;
-refinement is numpy bitwise AND + ``any`` over whole rows against the
-data graph's packed adjacency bit matrix (cached on the
-:class:`~repro.graphs.csr.CSRGraph`).  The original per-vertex
-``set[int]`` engine lives on as the differential reference in
-``tests/oracles.py``: both explore the *same* search tree (candidates
-are iterated ascending, refinement passes visit query vertices in the
-same order, and a domain emptied at the same step fails at the same
-step), so accept/reject answers *and* budget poll counts match exactly
-— pinned by ``tests/test_ullmann.py``.
+A query is compiled once per host (:func:`compile_query`) and then
+searched as often as the caller likes — the single-graph regime pins a
+different embedding root per search.  Domain rows and host adjacency
+rows are plain Python ``int``\\ s, one bit per host vertex, so every
+refinement step is one C-level AND/OR whatever the host's width (the
+same trade :mod:`repro.utils.bitset` makes for fingerprints).  The host
+is the whole data graph, or — when the caller supplies candidate
+domains — the subgraph induced by their union, relabeled in ascending
+order: domains only ever shrink, so every vertex the search can touch
+is in that union, and the monotone relabel keeps iteration order, and
+hence the search tree, exactly what it is over the whole graph.
+
+The original per-vertex ``set[int]`` engine lives on as the
+differential reference in ``tests/oracles.py``: both explore the *same*
+search tree (candidates are iterated ascending, refinement passes visit
+query vertices in the same order, and a domain emptied at the same step
+fails at the same step), so accept/reject answers *and* budget poll
+counts match exactly — pinned by ``tests/test_ullmann.py``.
 
 The transactional regime verifies with VF2 everywhere (as every
 benchmarked system does, §2.2); Ullmann verifies pinned embedding roots
@@ -30,55 +38,77 @@ the paper's Definition 3.
 
 from __future__ import annotations
 
-import numpy as np
+from collections.abc import Iterable, Sequence, Set
 
 from repro.graphs.csr import as_core_query
 from repro.graphs.protocol import LabeledGraph
 from repro.utils.budget import Budget
 
-__all__ = ["ullmann_is_subgraph"]
+__all__ = ["CompiledQuery", "compile_query", "ullmann_is_subgraph"]
 
 #: Search-tree nodes between budget polls.
 _BUDGET_POLL_INTERVAL = 512
-
-_ONE = np.uint64(1)
-_WORD_BITS = 64
 
 
 def ullmann_is_subgraph(
     query: LabeledGraph,
     data: LabeledGraph,
     budget: Budget | None = None,
-    domains: list[set[int]] | None = None,
+    domains: Sequence[Set[int]] | None = None,
 ) -> bool:
     """True iff *query* is subgraph-monomorphic to *data* (Def. 3).
 
     *domains*, when given, constrains the search: query vertex ``u``
     may only map into ``domains[u]`` (intersected with the built-in
-    label/degree feasibility).  The single-graph regime pins embedding
-    roots and narrows candidates this way; ``None`` leaves the classic
-    search — and its budget poll counts — untouched.
+    label/degree feasibility), and the search runs over the subgraph
+    those domains induce.  ``None`` searches the whole graph.
     """
     if query.order == 0:
         return True
-    if query.order > data.order or query.size > data.size:
-        return False
+    compiled = compile_query(query, data, domains)
+    return compiled is not None and compiled.embeds(budget)
 
+
+def compile_query(
+    query: LabeledGraph,
+    data: LabeledGraph,
+    domains: Sequence[Set[int]] | None = None,
+) -> "CompiledQuery | None":
+    """*query* compiled against *data*, or ``None`` when no embedding
+    can exist (too large, or some query vertex has no feasible
+    candidate).
+
+    Per query vertex, the label- and degree-feasible data vertices are
+    intersected with ``domains[u]``; with *domains* the host is the
+    subgraph their union induces (one CSR row slice,
+    :meth:`~repro.graphs.csr.CSRGraph.induced_subgraph`), otherwise the
+    whole graph.
+    """
+    if query.order > data.order or query.size > data.size:
+        return None
     candidates = _initial_candidates(query, data)
     if candidates is None:
-        return False
-    if domains is not None:
-        if len(domains) != query.order:
-            raise ValueError(
-                f"domains carries {len(domains)} entries for a "
-                f"{query.order}-vertex query"
-            )
-        for u, feasible in enumerate(candidates):
-            feasible &= domains[u]
-            if not feasible:
-                return False
-    bitset_state = _BitsetState(query, data, budget)
-    return bitset_state.search(0, bitset_state.pack(candidates), set())
+        return None
+    core = as_core_query(data)
+    if domains is None:
+        return CompiledQuery(query, core.adjacency_rows(), candidates, None)
+    if len(domains) != query.order:
+        raise ValueError(
+            f"domains carries {len(domains)} entries for a "
+            f"{query.order}-vertex query"
+        )
+    for u, feasible in enumerate(candidates):
+        feasible &= domains[u]
+        if not feasible:
+            return None
+    host, vertices = core.induced_subgraph(set().union(*candidates))
+    index_of = {v: i for i, v in enumerate(vertices)}
+    return CompiledQuery(
+        query,
+        host.adjacency_rows(),
+        [[index_of[v] for v in feasible] for feasible in candidates],
+        index_of,
+    )
 
 
 def _initial_candidates(
@@ -95,91 +125,87 @@ def _initial_candidates(
     return candidates
 
 
-class _BitsetState:
-    """The packed-uint64 domain engine.
+class CompiledQuery:
+    """One query compiled against one host, searchable many times.
 
-    Domains are a ``(query.order, words)`` uint64 matrix — bit ``d`` of
-    row ``u`` set iff data vertex ``d`` is a candidate for query vertex
-    ``u`` — refined against a data adjacency bit matrix of the same
-    width.  The search tree is identical to the reference set engine's
-    (``tests/oracles.py``): bits are iterated ascending
-    (``sorted(candidates[position])``), refinement passes visit query
-    vertices in the same order, and a pass dooms exactly the candidates
-    the set engine's inner loop would.
+    ``domains[u]`` packs query vertex ``u``'s feasible candidates into
+    an ``int`` over host vertex ids, and ``adjacency[h]`` is host vertex
+    ``h``'s adjacency row in the same bit space.  ``index_of`` maps a
+    data vertex to its host id (``None``: the host is the whole graph,
+    ids coincide).  ``nodes`` counts the search-tree nodes of the last
+    budgeted search — the unit budget polls are scheduled on.
     """
 
-    __slots__ = ("query", "data", "budget", "nodes", "words", "adj", "qneighbors")
+    __slots__ = ("qneighbors", "adjacency", "domains", "index_of", "nodes")
 
     def __init__(
-        self, query: LabeledGraph, data: LabeledGraph, budget: Budget | None
+        self,
+        query: LabeledGraph,
+        adjacency: list[int],
+        candidates: Sequence[Iterable[int]],
+        index_of: dict[int, int] | None,
     ) -> None:
-        self.query = query
-        self.data = data
-        self.budget = budget
+        self.qneighbors = [tuple(query.neighbors(u)) for u in query.vertices()]
+        self.adjacency = adjacency
+        self.domains = [_pack(members) for members in candidates]
+        self.index_of = index_of
         self.nodes = 0
-        self.words = (data.order + _WORD_BITS - 1) // _WORD_BITS
-        # The packed matrix is a cached structure of the CSR graph (one
-        # vectorized scatter, amortized across the workload).
-        self.adj = as_core_query(data).adjacency_bitmatrix()
-        #: Query adjacency as plain int lists, for the refinement loop.
-        self.qneighbors = [list(query.neighbors(u)) for u in query.vertices()]
 
-    def pack(self, candidates: list[set[int]]) -> np.ndarray:
-        """Pack per-vertex candidate sets into domain bit rows."""
-        domains = np.zeros((len(candidates), self.words), dtype=np.uint64)
-        for u, feasible in enumerate(candidates):
-            members = np.fromiter(feasible, dtype=np.int64, count=len(feasible))
-            np.bitwise_or.at(
-                domains[u],
-                members >> 6,
-                _ONE << (members & 63).astype(np.uint64),
-            )
-        return domains
-
-    @staticmethod
-    def _members(row: np.ndarray) -> list[int]:
-        """Set bits of one domain row, ascending — the iteration order
-        ``sorted()`` gives the set engine."""
-        bits = np.unpackbits(row.view(np.uint8), bitorder="little")
-        return np.nonzero(bits)[0].tolist()
-
-    def search(
-        self, position: int, domains: np.ndarray, used: set[int]
+    def embeds(
+        self, budget: Budget | None = None, pin: tuple[int, int] | None = None
     ) -> bool:
-        if position == self.query.order:
+        """Does an embedding exist — with query vertex ``pin[0]`` mapped
+        onto data vertex ``pin[1]``, when *pin* is given?"""
+        self.nodes = 0
+        domains = list(self.domains)
+        if pin is not None:
+            u, vertex = pin
+            index = vertex if self.index_of is None else self.index_of.get(vertex)
+            domains[u] &= 0 if index is None else 1 << index
+            if not domains[u]:
+                return False
+        return self._search(0, domains, 0, budget)
+
+    def _search(
+        self, position: int, domains: list[int], used: int, budget: Budget | None
+    ) -> bool:
+        if position == len(domains):
             return True
-        self._poll()
-        for d in self._members(domains[position]):
-            if d in used:
-                continue
-            narrowed = self._assign(position, d, domains)
-            if narrowed is None:
-                continue
-            used.add(d)
-            if self.search(position + 1, narrowed, used):
-                used.discard(d)
+        if budget is not None:
+            self.nodes += 1
+            if self.nodes % _BUDGET_POLL_INTERVAL == 0:
+                budget.check()
+        # Ascending bit order — the set engine's ``sorted()`` — minus
+        # the vertices already assigned.
+        row = domains[position] & ~used
+        while row:
+            bit = row & -row
+            row ^= bit
+            narrowed = self._assign(position, bit, domains)
+            if narrowed is not None and self._search(
+                position + 1, narrowed, used | bit, budget
+            ):
                 return True
-            used.discard(d)
         return False
 
     def _assign(
-        self, position: int, d: int, domains: np.ndarray
-    ) -> np.ndarray | None:
-        """Pin query vertex *position* to *d* and refine to fixpoint."""
-        narrowed = domains.copy()
-        narrowed[position] = 0
-        narrowed[position, d >> 6] = _ONE << np.uint64(d & 63)
-        neighbors = self.qneighbors[position]
-        if neighbors:
-            # One slab op: mask every neighbor row to d's data adjacency
-            # and clear bit d (injectivity) in the same pass.
-            narrowed[neighbors] &= self.adj[d]
-            narrowed[neighbors, d >> 6] &= ~(_ONE << np.uint64(d & 63))
-            if not narrowed[neighbors].any(axis=1).all():
+        self, position: int, bit: int, domains: list[int]
+    ) -> list[int] | None:
+        """Pin query vertex *position* to host vertex *bit* and refine
+        to fixpoint."""
+        narrowed = list(domains)
+        narrowed[position] = bit
+        # Neighbors must map into the image's adjacency (which never
+        # holds the image itself: no self-loops, so injectivity is kept).
+        row = self.adjacency[bit.bit_length() - 1]
+        for u in self.qneighbors[position]:
+            kept = narrowed[u] & row
+            if not kept:
                 return None
+            narrowed[u] = kept
         return self._refine(narrowed)
 
-    def _refine(self, domains: np.ndarray) -> np.ndarray | None:
+    def _refine(self, domains: list[int]) -> list[int] | None:
         """Ullmann refinement to fixpoint via support masks.
 
         A candidate ``d`` of query vertex ``u`` survives a pass iff,
@@ -193,35 +219,39 @@ class _BitsetState:
         invalidated the moment that vertex's domain shrinks, keeping
         the two engines' search trees identical.
         """
-        order = self.query.order
-        supports: list[np.ndarray | None] = [None] * order
+        adjacency = self.adjacency
+        supports: list[int | None] = [None] * len(domains)
         changed = True
         while changed:
             changed = False
-            for u in range(order):
-                neighbors = self.qneighbors[u]
+            for u, neighbors in enumerate(self.qneighbors):
                 if not neighbors:
                     continue
                 row = domains[u]
                 for w in neighbors:
                     mask = supports[w]
                     if mask is None:
-                        mask = supports[w] = np.bitwise_or.reduce(
-                            self.adj[self._members(domains[w])], axis=0
-                        )
-                    row = row & mask
-                if np.array_equal(row, domains[u]):
+                        mask = 0
+                        members = domains[w]
+                        while members:
+                            bit = members & -members
+                            members ^= bit
+                            mask |= adjacency[bit.bit_length() - 1]
+                        supports[w] = mask
+                    row &= mask
+                if row == domains[u]:
                     continue
-                if not row.any():
+                if not row:
                     return None
                 domains[u] = row
                 supports[u] = None
                 changed = True
         return domains
 
-    def _poll(self) -> None:
-        if self.budget is None:
-            return
-        self.nodes += 1
-        if self.nodes % _BUDGET_POLL_INTERVAL == 0:
-            self.budget.check()
+
+def _pack(members: Iterable[int]) -> int:
+    """One bit per member."""
+    row = 0
+    for index in members:
+        row |= 1 << index
+    return row

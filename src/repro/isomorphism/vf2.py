@@ -22,22 +22,96 @@ rules adapted to monomorphism:
 Matching generates candidates by intersecting the data-neighbor sets of
 the images of mapped query neighbors, so the branching factor collapses
 quickly on labeled graphs.
+
+Everything those rules need from the *query* — the order, each
+position's mapped anchors, label, degree, neighbor-label needs and
+unmapped-neighbor count — is a :class:`MatchPlan`, compiled once per
+admitted query (:func:`match_plan`) rather than once per (query, data)
+pair.  The search itself is the reference matcher's, candidate for
+candidate: ``tests/test_vf2.py`` pins equal embedding sequences and
+equal budget node counts against ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 
+from repro.graphs.csr import CSRGraph
 from repro.graphs.protocol import LabeledGraph
 from repro.isomorphism.heuristics import connectivity_order
 from repro.utils.budget import Budget
 
-__all__ = ["SubgraphMatcher", "is_subgraph", "find_embedding", "count_embeddings"]
+__all__ = [
+    "MatchPlan",
+    "SubgraphMatcher",
+    "count_embeddings",
+    "find_embedding",
+    "is_subgraph",
+    "match_plan",
+]
 
 #: How many search-tree nodes between budget polls.
 _BUDGET_POLL_INTERVAL = 2048
 
 VertexOrder = Callable[[LabeledGraph, LabeledGraph | None], list[int]]
+
+
+class MatchPlan:
+    """The query half of a VF2 search, compiled once per query order.
+
+    Position ``i`` of the search maps query vertex ``order[i]``.
+    ``anchors[i]`` are its neighbors mapped at earlier positions (the
+    images whose adjacencies candidate generation intersects);
+    ``labels[i]`` and ``degrees[i]`` are its label and degree;
+    ``needs[i]`` is its neighbor-label multiset as ``(label, count)``
+    pairs; ``unmapped[i]`` is how many of its neighbors are still
+    unmapped when it is placed — static, because the search maps the
+    query in plan order.  ``histogram`` is the query's label histogram
+    (the global label precheck).
+    """
+
+    __slots__ = (
+        "order", "anchors", "labels", "degrees", "needs", "unmapped", "histogram"
+    )
+
+    def __init__(self, query: LabeledGraph, order: Sequence[int]) -> None:
+        position_of = {v: i for i, v in enumerate(order)}
+        counts = query.neighbor_label_counts()
+        self.order = tuple(order)
+        self.anchors = tuple(
+            tuple(w for w in query.neighbors(v) if position_of[w] < i)
+            for i, v in enumerate(order)
+        )
+        self.labels = tuple(query.label(v) for v in order)
+        self.degrees = tuple(query.degree(v) for v in order)
+        self.needs = tuple(tuple(counts[v].items()) for v in order)
+        self.unmapped = tuple(
+            degree - len(anchors)
+            for degree, anchors in zip(self.degrees, self.anchors)
+        )
+        self.histogram = tuple(query.label_histogram().items())
+
+
+def match_plan(
+    query: LabeledGraph,
+    data: LabeledGraph,
+    ordering: VertexOrder = connectivity_order,
+) -> MatchPlan:
+    """The plan for matching *query* under *ordering* against *data*.
+
+    The default :func:`connectivity_order` ignores the data graph, so
+    its plan is compiled once per admitted :class:`CSRGraph` query and
+    cached on it — every candidate graph, and every later request for
+    the same admitted query, reuses it.  A data-dependent ordering
+    (CT-Index's :func:`frequency_degree_order`) and a mutable builder
+    query get a fresh plan per pair.
+    """
+    if ordering is connectivity_order and isinstance(query, CSRGraph):
+        plan = query.match_plan
+        if plan is None:
+            plan = query.match_plan = MatchPlan(query, ordering(query))
+        return plan
+    return MatchPlan(query, ordering(query, data))
 
 
 class SubgraphMatcher:
@@ -66,18 +140,10 @@ class SubgraphMatcher:
         self.data = data
         self._budget = budget
         self._nodes_visited = 0
-        self._order = ordering(query, data)
-        # Earlier-mapped neighbors per position, so candidate generation
-        # can intersect image adjacencies without rescanning.
-        position_of = {v: i for i, v in enumerate(self._order)}
-        self._mapped_neighbors: list[list[int]] = [
-            [w for w in query.neighbors(v) if position_of[w] < i]
-            for i, v in enumerate(self._order)
-        ]
-        self._query_neighbor_labels = query.neighbor_label_counts()
+        self._plan = match_plan(query, data, ordering)
         # A CSRGraph amortizes these across every matcher built on the
-        # same data graph; a builder Graph (Grapes' component
-        # projections) recomputes them per pair.
+        # same data graph; a builder Graph recomputes them per pair.
+        self._data_labels = data.labels
         self._data_neighbor_labels = data.neighbor_label_counts()
 
     # ------------------------------------------------------------------
@@ -129,16 +195,17 @@ class SubgraphMatcher:
     def _search(
         self, position: int, mapping: dict[int, int], used: set[int]
     ) -> Iterator[dict[int, int]]:
-        if position == len(self._order):
+        plan = self._plan
+        if position == len(plan.order):
             yield dict(mapping)
             return
         self._poll_budget()
 
-        q_vertex = self._order[position]
+        q_vertex = plan.order[position]
         for d_vertex in self._candidates(position, mapping):
             if d_vertex in used:
                 continue
-            if not self._feasible(q_vertex, d_vertex, mapping, used):
+            if not self._feasible(position, d_vertex, used):
                 continue
             mapping[q_vertex] = d_vertex
             used.add(d_vertex)
@@ -147,14 +214,14 @@ class SubgraphMatcher:
             used.discard(d_vertex)
 
     def _candidates(self, position: int, mapping: dict[int, int]):
-        q_vertex = self._order[position]
-        anchors = self._mapped_neighbors[position]
+        plan = self._plan
+        anchors = plan.anchors[position]
         if not anchors:
             # New component root: any data vertex with the right label
             # and enough degree (vertices dropped here would fail
             # _feasible's degree rule anyway).
             return self.data.candidate_vertices(
-                self.query.label(q_vertex), self.query.degree(q_vertex)
+                plan.labels[position], plan.degrees[position]
             )
         # Intersect the data adjacencies of the mapped anchor images,
         # starting from the smallest to keep the working set tiny.
@@ -168,27 +235,20 @@ class SubgraphMatcher:
                 break
         return candidates
 
-    def _feasible(
-        self, q_vertex: int, d_vertex: int, mapping: dict[int, int], used: set[int]
-    ) -> bool:
-        if self.query.label(q_vertex) != self.data.label(d_vertex):
+    def _feasible(self, position: int, d_vertex: int, used: set[int]) -> bool:
+        plan = self._plan
+        if plan.labels[position] != self._data_labels[d_vertex]:
             return False
-        if self.query.degree(q_vertex) > self.data.degree(d_vertex):
+        d_neighbors = self.data.neighbors(d_vertex)
+        if plan.degrees[position] > len(d_neighbors):
             return False
         # Lookahead: unmapped query neighbors need distinct unused slots.
-        unmapped_q = sum(
-            1 for w in self.query.neighbors(q_vertex) if w not in mapping
-        )
-        if unmapped_q:
-            unused_d = sum(
-                1 for x in self.data.neighbors(d_vertex) if x not in used
-            )
-            if unmapped_q > unused_d:
-                return False
+        unmapped = plan.unmapped[position]
+        if unmapped and unmapped > sum(1 for x in d_neighbors if x not in used):
+            return False
         # Neighbor-label dominance.
-        q_counts = self._query_neighbor_labels[q_vertex]
         d_counts = self._data_neighbor_labels[d_vertex]
-        for lbl, needed in q_counts.items():
+        for lbl, needed in plan.needs[position]:
             if d_counts.get(lbl, 0) < needed:
                 return False
         return True
@@ -196,7 +256,7 @@ class SubgraphMatcher:
     def _labels_compatible(self) -> bool:
         """Global precheck: per-label vertex counts must dominate."""
         data_histogram = self.data.label_histogram()
-        for lbl, needed in self.query.label_histogram().items():
+        for lbl, needed in self._plan.histogram:
             if data_histogram.get(lbl, 0) < needed:
                 return False
         return True

@@ -1,17 +1,25 @@
 """Reference implementations the differential tests compare against.
 
 These are the straightforward versions of algorithms whose shipped
-implementations are array kernels: the recursive feature walks written
-against the graph protocol (``neighbors()`` tuples, one ``label()`` call
-per visit) and Ullmann's search over ``set[int]`` domains.  They are
-kept verbatim from when they were the production code, so every parity
-property pins the kernels to an independently readable definition:
+implementations are array kernels or compiled plans: the recursive
+feature walks written against the graph protocol (``neighbors()``
+tuples, one ``label()`` call per visit), Ullmann's search over
+``set[int]`` domains, and VF2 recomputing its query-side structures per
+(query, data) pair.  They are kept verbatim from when they were the
+production code, so every parity property pins the shipped code to an
+independently readable definition:
 
 * ``tests/test_feature_kernels.py`` — same features, counts, start
   sets, dict insertion order and yield order as the walks on the same
   ``CSRGraph``;
 * ``tests/test_ullmann.py`` — same answers *and* the same search tree
-  (node counts, hence budget poll schedules) as the set engine.
+  (node counts, hence budget poll schedules) as the set engine, over
+  the whole graph and over a compact host;
+* ``tests/test_vf2.py`` — the same embeddings in the same order, and
+  the same node counts, as :class:`ReferenceMatcher`;
+* ``tests/test_regimes.py`` — single-graph answers equal
+  :func:`reference_embedding_roots`, which never sees an index, a
+  domain or a compact host.
 
 :func:`reference_cell` is the straight-line measurement cell — build,
 query each size, aggregate — that was ``evaluate_method``'s body until
@@ -36,12 +44,19 @@ from repro.core.runner import (
 )
 from repro.features.paths import PathOccurrences
 from repro.graphs.csr import as_core_dataset, as_core_query
-from repro.isomorphism.ullmann import _BUDGET_POLL_INTERVAL, _initial_candidates
+from repro.graphs.protocol import LabeledGraph
+from repro.isomorphism import ullmann
+from repro.isomorphism.decompose import embedding_root
+from repro.isomorphism.heuristics import connectivity_order
+from repro.isomorphism.ullmann import _initial_candidates
+from repro.isomorphism.vf2 import _BUDGET_POLL_INTERVAL, VertexOrder
 from repro.utils.budget import Budget, BudgetExceeded, MemoryBudgetExceeded
 
 __all__ = [
+    "ReferenceMatcher",
     "SetDomainState",
     "reference_cell",
+    "reference_embedding_roots",
     "set_ullmann_is_subgraph",
     "walk_edge_list",
     "walk_path_features",
@@ -237,8 +252,212 @@ class SetDomainState:
         if self.budget is None:
             return
         self.nodes += 1
-        if self.nodes % _BUDGET_POLL_INTERVAL == 0:
+        if self.nodes % ullmann._BUDGET_POLL_INTERVAL == 0:
             self.budget.check()
+
+
+def reference_embedding_roots(query, data) -> set[int]:
+    """Every data vertex hosting the query's anchor vertex in some
+    embedding into the whole of *data*.
+
+    The anchor is :func:`~repro.isomorphism.decompose.embedding_root`;
+    each data vertex is pinned in turn under plain label/degree
+    candidates and searched by :class:`SetDomainState` — no index, no
+    STwig pruning, no compact host.
+    """
+    if query.order == 0:
+        return set()
+    root = embedding_root(query, data)
+    feasible = [
+        {
+            v
+            for v in data.vertices()
+            if data.label(v) == query.label(u)
+            and data.degree(v) >= query.degree(u)
+        }
+        for u in query.vertices()
+    ]
+    roots = set()
+    for vertex in sorted(feasible[root]):
+        pinned = [set(candidates) for candidates in feasible]
+        pinned[root] = {vertex}
+        if SetDomainState(query, data, None).search(0, pinned, set()):
+            roots.add(vertex)
+    return roots
+
+
+# ----------------------------------------------------------------------
+# VF2 (reference for repro.isomorphism.vf2)
+# ----------------------------------------------------------------------
+
+
+class ReferenceMatcher:
+    """VF2 for one (query, data) pair, recomputing the query side per pair.
+
+    Parameters
+    ----------
+    query, data:
+        The pattern and the host graph.
+    ordering:
+        Strategy producing the query-vertex exploration order; defaults
+        to :func:`~repro.isomorphism.heuristics.connectivity_order`.
+    budget:
+        Optional :class:`~repro.utils.budget.Budget` polled during the
+        search, so runaway verifications honour the experiment limit.
+    """
+
+    def __init__(
+        self,
+        query: LabeledGraph,
+        data: LabeledGraph,
+        ordering: VertexOrder = connectivity_order,
+        budget: Budget | None = None,
+    ) -> None:
+        self.query = query
+        self.data = data
+        self._budget = budget
+        self._nodes_visited = 0
+        self._order = ordering(query, data)
+        # Earlier-mapped neighbors per position, so candidate generation
+        # can intersect image adjacencies without rescanning.
+        position_of = {v: i for i, v in enumerate(self._order)}
+        self._mapped_neighbors: list[list[int]] = [
+            [w for w in query.neighbors(v) if position_of[w] < i]
+            for i, v in enumerate(self._order)
+        ]
+        self._query_neighbor_labels = query.neighbor_label_counts()
+        # A CSRGraph amortizes these across every matcher built on the
+        # same data graph; a builder Graph (Grapes' component
+        # projections) recomputes them per pair.
+        self._data_neighbor_labels = data.neighbor_label_counts()
+
+    # ------------------------------------------------------------------
+    # public API
+    # ------------------------------------------------------------------
+
+    def exists(self) -> bool:
+        """True iff at least one monomorphism exists (first-match mode).
+
+        This mirrors the benchmarked configuration: the paper patched
+        Grapes so that *all* systems stop at the first match (§4.1).
+        """
+        for _ in self.iter_embeddings():
+            return True
+        return False
+
+    def first(self) -> dict[int, int] | None:
+        """The first embedding found, or ``None``."""
+        for embedding in self.iter_embeddings():
+            return embedding
+        return None
+
+    def count(self, limit: int | None = None) -> int:
+        """Number of embeddings, optionally stopping at *limit*."""
+        found = 0
+        for _ in self.iter_embeddings():
+            found += 1
+            if limit is not None and found >= limit:
+                break
+        return found
+
+    def iter_embeddings(self) -> Iterator[dict[int, int]]:
+        """Yield each embedding as a query-vertex → data-vertex dict."""
+        if self.query.order == 0:
+            yield {}
+            return
+        if self.query.order > self.data.order or self.query.size > self.data.size:
+            return
+        if not self._labels_compatible():
+            return
+        mapping: dict[int, int] = {}
+        used: set[int] = set()
+        yield from self._search(0, mapping, used)
+
+    # ------------------------------------------------------------------
+    # search
+    # ------------------------------------------------------------------
+
+    def _search(
+        self, position: int, mapping: dict[int, int], used: set[int]
+    ) -> Iterator[dict[int, int]]:
+        if position == len(self._order):
+            yield dict(mapping)
+            return
+        self._poll_budget()
+
+        q_vertex = self._order[position]
+        for d_vertex in self._candidates(position, mapping):
+            if d_vertex in used:
+                continue
+            if not self._feasible(q_vertex, d_vertex, mapping, used):
+                continue
+            mapping[q_vertex] = d_vertex
+            used.add(d_vertex)
+            yield from self._search(position + 1, mapping, used)
+            del mapping[q_vertex]
+            used.discard(d_vertex)
+
+    def _candidates(self, position: int, mapping: dict[int, int]):
+        q_vertex = self._order[position]
+        anchors = self._mapped_neighbors[position]
+        if not anchors:
+            # New component root: any data vertex with the right label
+            # and enough degree (vertices dropped here would fail
+            # _feasible's degree rule anyway).
+            return self.data.candidate_vertices(
+                self.query.label(q_vertex), self.query.degree(q_vertex)
+            )
+        # Intersect the data adjacencies of the mapped anchor images,
+        # starting from the smallest to keep the working set tiny.
+        neighbor_sets = sorted(
+            (self.data.neighbor_set(mapping[w]) for w in anchors), key=len
+        )
+        candidates = set(neighbor_sets[0])
+        for neighbor_set in neighbor_sets[1:]:
+            candidates &= neighbor_set
+            if not candidates:
+                break
+        return candidates
+
+    def _feasible(
+        self, q_vertex: int, d_vertex: int, mapping: dict[int, int], used: set[int]
+    ) -> bool:
+        if self.query.label(q_vertex) != self.data.label(d_vertex):
+            return False
+        if self.query.degree(q_vertex) > self.data.degree(d_vertex):
+            return False
+        # Lookahead: unmapped query neighbors need distinct unused slots.
+        unmapped_q = sum(
+            1 for w in self.query.neighbors(q_vertex) if w not in mapping
+        )
+        if unmapped_q:
+            unused_d = sum(
+                1 for x in self.data.neighbors(d_vertex) if x not in used
+            )
+            if unmapped_q > unused_d:
+                return False
+        # Neighbor-label dominance.
+        q_counts = self._query_neighbor_labels[q_vertex]
+        d_counts = self._data_neighbor_labels[d_vertex]
+        for lbl, needed in q_counts.items():
+            if d_counts.get(lbl, 0) < needed:
+                return False
+        return True
+
+    def _labels_compatible(self) -> bool:
+        """Global precheck: per-label vertex counts must dominate."""
+        data_histogram = self.data.label_histogram()
+        for lbl, needed in self.query.label_histogram().items():
+            if data_histogram.get(lbl, 0) < needed:
+                return False
+        return True
+
+    def _poll_budget(self) -> None:
+        if self._budget is None:
+            return
+        self._nodes_visited += 1
+        if self._nodes_visited % _BUDGET_POLL_INTERVAL == 0:
+            self._budget.check()
 
 
 # ----------------------------------------------------------------------

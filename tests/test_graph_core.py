@@ -27,7 +27,6 @@ from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.arena import DatasetArena, attach_csr_dataset
 from repro.core.metrics import summarize_results
@@ -47,6 +46,8 @@ from repro.graphs.graph import Graph
 from repro.graphs.protocol import LabeledGraph
 from repro.indexes import ALL_INDEX_CLASSES
 from repro.isomorphism import SubgraphMatcher, ullmann_is_subgraph
+
+from testkit import labeled_graphs
 
 #: All benchmarked methods, with settings small enough that each
 #: build stays well under a second on the module dataset.
@@ -205,7 +206,13 @@ class TestAccessorParity:
             keep = list(range(len(labels)))[::2]
             sub, mapping = graph.induced_subgraph(keep)
             assert mapping == keep
-            assert type(sub) is Graph
+            # A projection stays in its source's representation; a CSR
+            # one shares the source's label table.
+            assert type(sub) is type(graph)
+            if isinstance(graph, CSRGraph):
+                assert sub.label_table is graph.label_table
+                for v in sub.vertices():
+                    assert list(sub.neighbors(v)) == sorted(sub.neighbors(v))
             assert sub.labels == tuple(labels[v] for v in keep)
             assert sorted(sub.edges()) == sorted(
                 (keep.index(u), keep.index(v))
@@ -317,21 +324,6 @@ class TestNoCallerMutatesAdjacency:
 # ----------------------------------------------------------------------
 # matcher parity (hypothesis property)
 # ----------------------------------------------------------------------
-
-
-@st.composite
-def labeled_graphs(draw, max_vertices=8, labels="ABC"):
-    n = draw(st.integers(min_value=1, max_value=max_vertices))
-    vertex_labels = draw(
-        st.lists(st.sampled_from(labels), min_size=n, max_size=n)
-    )
-    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = (
-        draw(st.lists(st.sampled_from(possible), unique=True))
-        if possible
-        else []
-    )
-    return Graph(vertex_labels, edges)
 
 
 def _embedding_set(query, data):

@@ -3,15 +3,22 @@
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs.graph import Graph
-from repro.isomorphism.ullmann import ullmann_is_subgraph
+from repro.isomorphism.ullmann import (
+    _initial_candidates,
+    compile_query,
+    ullmann_is_subgraph,
+)
 from repro.isomorphism.vf2 import is_subgraph
 from repro.utils.budget import Budget, BudgetExceeded
 
 from oracles import SetDomainState, set_ullmann_is_subgraph
 from testkit import (
     cycle_graph,
+    labeled_graphs,
     nx_is_monomorphic,
     path_graph,
     random_graph,
@@ -98,10 +105,10 @@ class TestBudget:
 
 
 class TestEngineDifferential:
-    """Bitset engine vs the reference set engine: same answers, same
+    """Int-row engine vs the reference set engine: same answers, same
     search tree.
 
-    The bitset engine promises more than agreement — it explores the
+    The int-row engine promises more than agreement — it explores the
     *identical* search tree as ``oracles.SetDomainState`` (candidates
     ascending, refinement passes in the same order, domains emptied at
     the same step), so the node counters — and therefore budget poll
@@ -109,17 +116,17 @@ class TestEngineDifferential:
     """
 
     def _both(self, query, data, budget=None):
-        from repro.isomorphism.ullmann import _BitsetState, _initial_candidates
-
         candidates = _initial_candidates(query, data)
         if candidates is None:
             return None, None
         set_state = SetDomainState(query, data, budget)
         set_answer = set_state.search(0, [set(c) for c in candidates], set())
-        bit_state = _BitsetState(query, data, budget)
-        bit_answer = bit_state.search(0, bit_state.pack(candidates), set())
-        assert bit_answer == set_answer
-        assert bit_state.nodes == set_state.nodes
+        compiled = compile_query(query, data)
+        if compiled is None:  # size exit: the engine never searches
+            assert not set_answer
+            return set_answer, set_state.nodes
+        assert compiled.embeds(budget) == set_answer
+        assert compiled.nodes == set_state.nodes
         return set_answer, set_state.nodes
 
     def test_engines_agree_on_answers_and_poll_counts(self, rng):
@@ -145,7 +152,7 @@ class TestEngineDifferential:
         assert nontrivial > 40 and positives > 10
 
     def test_wide_data_graph_crosses_word_boundaries(self, rng):
-        # > 64 data vertices forces multi-word domain rows.
+        # > 64 data vertices: rows wider than one machine word.
         for _ in range(10):
             data = random_graph(rng, 70, 90, connected=True)
             vertices = sorted(rng.sample(range(data.order), 4))
@@ -157,7 +164,6 @@ class TestEngineDifferential:
         """Regression pin: a label with no feasible data vertex returns
         False before the engine allocates domains or searches."""
         from repro.isomorphism import ullmann as ullmann_module
-        from repro.isomorphism.ullmann import _initial_candidates
 
         query = Graph(["A", "Z"], [(0, 1)])
         data = path_graph("AB")  # no 'Z' anywhere
@@ -166,7 +172,7 @@ class TestEngineDifferential:
         def explode(*args, **kwargs):
             raise AssertionError("search entered despite empty domain")
 
-        monkeypatch.setattr(ullmann_module._BitsetState, "search", explode)
+        monkeypatch.setattr(ullmann_module.CompiledQuery, "_search", explode)
         monkeypatch.setattr(SetDomainState, "search", explode)
         assert not ullmann_is_subgraph(query, data)
         assert not set_ullmann_is_subgraph(query, data)
@@ -175,8 +181,63 @@ class TestEngineDifferential:
         # Degree-infeasible: 'A' hub needs degree 3, data max is 2.
         query = star_graph("A", "BBB")
         data = path_graph("BAB")
-        from repro.isomorphism.ullmann import _initial_candidates
-
         assert _initial_candidates(query, data) is None
         assert not ullmann_is_subgraph(query, data)
         assert not set_ullmann_is_subgraph(query, data)
+
+
+class TestCompactHost:
+    """A query compiled over the subgraph its domains induce searches
+    the tree the set engine searches over the *whole* graph with the
+    same domains: same answer and same node count for every pinned
+    root — the relabel is monotone, and domains never leave the host."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=labeled_graphs(max_vertices=12),
+        query=labeled_graphs(max_vertices=4),
+        choice=st.data(),
+    )
+    def test_every_pinned_root_matches_the_whole_graph_set_engine(
+        self, data, query, choice
+    ):
+        vertex_ids = st.sampled_from(range(data.order))
+        domains = [choice.draw(st.sets(vertex_ids)) for _ in query.vertices()]
+        root = choice.draw(st.sampled_from(range(query.order)))
+        compiled = compile_query(query, data, domains)
+        feasible = _initial_candidates(query, data)
+        if query.order > data.order or query.size > data.size or feasible is None:
+            assert compiled is None
+            return
+        narrowed = [c & d for c, d in zip(feasible, domains)]
+        if not all(narrowed):
+            assert compiled is None
+            return
+        assert ullmann_is_subgraph(query, data, domains=domains) == (
+            SetDomainState(query, data, None).search(0, narrowed, set())
+        )
+        for vertex in data.vertices():
+            pinned = [set(domain) for domain in narrowed]
+            pinned[root] &= {vertex}
+            got = compiled.embeds(Budget(60.0), pin=(root, vertex))
+            if not pinned[root]:
+                assert not got and compiled.nodes == 0
+                continue
+            state = SetDomainState(query, data, Budget(60.0))
+            assert got == state.search(0, pinned, set())
+            assert compiled.nodes == state.nodes
+
+    def test_host_is_the_union_of_the_domains(self):
+        # A 5-path A-B-A-B-A; only vertices {1, 2, 3} are allowed.
+        data = path_graph("ABABA")
+        query = path_graph("BA")
+        compiled = compile_query(query, data, [{1, 3}, {2}])
+        assert compiled.index_of == {1: 0, 2: 1, 3: 2}
+        assert compiled.adjacency == [0b010, 0b101, 0b010]
+        assert compiled.embeds(pin=(0, 3))
+        assert not compiled.embeds(pin=(0, 0))  # outside the host
+        assert not compiled.embeds(pin=(1, 0))
+
+    def test_domain_count_must_match_the_query(self):
+        with pytest.raises(ValueError, match="2-vertex query"):
+            compile_query(path_graph("AB"), path_graph("AB"), [{0}])

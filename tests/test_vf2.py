@@ -1,7 +1,9 @@
 """Unit and randomized tests for VF2 subgraph monomorphism (Def. 3)."""
 
 import pytest
+from hypothesis import given, settings
 
+from repro.graphs.csr import CSRGraph
 from repro.graphs.graph import Graph
 from repro.isomorphism.heuristics import connectivity_order, frequency_degree_order
 from repro.isomorphism.vf2 import (
@@ -9,11 +11,14 @@ from repro.isomorphism.vf2 import (
     count_embeddings,
     find_embedding,
     is_subgraph,
+    match_plan,
 )
 from repro.utils.budget import Budget, BudgetExceeded
 
+from oracles import ReferenceMatcher
 from testkit import (
     cycle_graph,
+    labeled_graphs,
     nx_is_monomorphic,
     path_graph,
     random_graph,
@@ -176,3 +181,58 @@ class TestBudget:
 
     def test_fresh_budget_allows_search(self):
         assert is_subgraph(path_graph("AA"), triangle("AAA"), budget=Budget(30.0))
+
+
+class TestReferenceDifferential:
+    """The plan-reading matcher against ``oracles.ReferenceMatcher`` —
+    the matcher as it was before plans, recomputing the query side per
+    pair.  Same candidates in the same order means the same embeddings
+    in the same order *and* the same search tree (node counts, hence
+    budget poll schedules)."""
+
+    # Hosts reach 40 vertices: sets of ids below their table size
+    # iterate in sorted order, which would hide an order change.
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=labeled_graphs(max_vertices=40, max_edges=80),
+        query=labeled_graphs(max_vertices=5),
+    )
+    def test_same_embeddings_in_the_same_order(self, data, query):
+        admitted = CSRGraph.from_graph(query)
+        for host in (data, CSRGraph.from_graph(data)):
+            for ordering in (connectivity_order, frequency_degree_order):
+                for pattern in (query, admitted):
+                    reference = ReferenceMatcher(
+                        pattern, host, ordering=ordering, budget=Budget(60.0)
+                    )
+                    matcher = SubgraphMatcher(
+                        pattern, host, ordering=ordering, budget=Budget(60.0)
+                    )
+                    assert list(matcher.iter_embeddings()) == list(
+                        reference.iter_embeddings()
+                    )
+                    assert matcher._nodes_visited == reference._nodes_visited
+
+    def test_data_independent_plan_is_cached_on_the_admitted_query(self):
+        query = CSRGraph.from_graph(path_graph("ABA"))
+        first, second = triangle("ABA"), cycle_graph("ABAB")
+        plan = match_plan(query, first)
+        assert query.match_plan is plan
+        assert SubgraphMatcher(query, second)._plan is plan
+        # CT-Index's order reads the data graph: a fresh plan per pair.
+        ranked = match_plan(query, first, ordering=frequency_degree_order)
+        assert ranked is not plan
+        assert match_plan(query, first, ordering=frequency_degree_order) is not ranked
+        # A builder query can still change: never cached.
+        builder = path_graph("ABA")
+        assert match_plan(builder, first) is not match_plan(builder, first)
+
+    def test_plan_lookahead_counts_are_static(self):
+        # 0-1-2 path plus 1-3: connectivity order 0, 1, 2, 3.
+        query = Graph("ABCD", [(0, 1), (1, 2), (1, 3)])
+        plan = match_plan(query, query)
+        assert plan.order == (0, 1, 2, 3)
+        assert plan.anchors == ((), (0,), (1,), (1,))
+        assert plan.unmapped == (1, 2, 0, 0)
+        assert plan.labels == tuple("ABCD")
+        assert plan.degrees == (1, 3, 1, 1)

@@ -17,6 +17,7 @@ import itertools
 import random
 
 import networkx as nx
+from hypothesis import strategies as st
 
 from repro.graphs.graph import Graph
 from repro.indexes.naive import NaiveIndex
@@ -44,6 +45,23 @@ def random_graph(
     if connected and not graph.is_connected():
         return _connect(graph, rng)
     return graph
+
+
+@st.composite
+def labeled_graphs(draw, max_vertices=8, labels="ABC", max_edges=None):
+    """Hypothesis strategy: a labeled graph of 1..*max_vertices* vertices
+    (and at most *max_edges* edges, when given)."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    vertex_labels = draw(
+        st.lists(st.sampled_from(labels), min_size=n, max_size=n)
+    )
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = (
+        draw(st.lists(st.sampled_from(possible), unique=True, max_size=max_edges))
+        if possible
+        else []
+    )
+    return Graph(vertex_labels, edges)
 
 
 def _connect(graph: Graph, rng: random.Random) -> Graph:
