@@ -124,8 +124,9 @@ class CSRGraph:
     binary-searches a contiguous slice.
 
     Per-graph caches (neighbor tuples and frozensets, label groups,
-    candidate rows, neighbor-label counts, adjacency rows) are filled
-    lazily and amortize across every query verified against the graph.
+    candidate tuples, feasible rows, neighbor-label counts, adjacency
+    rows) are filled lazily and amortize across every query verified
+    against the graph.
     """
 
     __slots__ = (
@@ -144,6 +145,8 @@ class CSRGraph:
         "_neighbor_label_counts",
         "_label_id_of",
         "_candidates",
+        "_feasible_rows",
+        "_feasible_parts",
         "_adjacency_bits",
         "_adjacency_rows",
         "_labels",
@@ -173,6 +176,8 @@ class CSRGraph:
         self._neighbor_label_counts: list[dict[Label, int]] | None = None
         self._label_id_of: dict[Label, int] | None = None
         self._candidates: dict[tuple[Label, int], tuple[int, ...]] | None = None
+        self._feasible_rows: dict[tuple, int] | None = None
+        self._feasible_parts: dict[tuple, int] | None = None
         self._adjacency_bits: np.ndarray | None = None
         self._adjacency_rows: list[int] | None = None
         self._labels: tuple[Label, ...] | None = None
@@ -360,11 +365,10 @@ class CSRGraph:
     def candidate_vertices(self, label: Label, min_degree: int = 0) -> tuple[int, ...]:
         """Vertices with *label* and degree ≥ *min_degree*, ascending.
 
-        One vectorized mask over the label-id and degree arrays — the
-        root-candidate filter of VF2 and Ullmann's initial domains —
-        cached per ``(label, min_degree)``: the single-graph filter and
-        the verifier ask for the same rows, and every query vertex with
-        the same label and degree reuses them.  Vertices this drops
+        One vectorized mask over the label-id and degree arrays —
+        Ullmann's initial domains and the single-graph filter's —
+        cached per ``(label, min_degree)``: every query vertex with the
+        same label and degree reuses the tuple.  Vertices this drops
         would fail the matchers' per-vertex label and degree
         feasibility checks anyway, so filtering here never changes an
         answer, only skips doomed branches earlier.
@@ -374,18 +378,73 @@ class CSRGraph:
             cache = self._candidates = {}
         found = cache.get((label, min_degree))
         if found is None:
-            if self._label_id_of is None:
-                self._label_id_of = {
-                    lbl: i for i, lbl in enumerate(self._label_table)
-                }
-            lid = self._label_id_of.get(label)
-            if lid is None:
-                return ()
-            mask = self._label_ids == lid
+            mask = self._part_mask(("label", label))
             if min_degree > 0:
-                mask &= self.degrees_array() >= min_degree
+                mask &= self._part_mask(("degree", min_degree))
             found = cache[label, min_degree] = tuple(np.nonzero(mask)[0].tolist())
         return found
+
+    def feasible_rows(self, keys: Iterable[tuple]) -> list[int]:
+        """The vertices VF2 may map each query vertex onto, as bit rows.
+
+        Each key is ``(label, min_degree, needs)``, *needs* an iterable
+        of ``(label, count)`` pairs: bit ``v`` of its row is set iff
+        ``v`` carries *label*, has degree ≥ *min_degree*, and has at
+        least *count* neighbors carrying each needed label — the label,
+        degree and neighbor-label dominance rules of VF2's feasibility
+        test, in the bit space of :meth:`adjacency_rows`, cached per key
+        (treat as read-only).  A new key is the AND of one cached row
+        per rule, so only a rule never asked of this graph before costs
+        a vectorized pass.
+        """
+        cache = self._feasible_rows
+        if cache is None:
+            cache = self._feasible_rows = {}
+        rows = []
+        for key in keys:
+            row = cache.get(key)
+            if row is None:
+                label, min_degree, needs = key
+                row = self._part_row(("label", label))
+                if min_degree > 0:
+                    row &= self._part_row(("degree", min_degree))
+                for needed, count in needs:
+                    row &= self._part_row(("needs", needed, count))
+                cache[key] = row
+            rows.append(row)
+        return rows
+
+    def _part_row(self, part: tuple) -> int:
+        """One rule of :meth:`feasible_rows` as a bit row (cached)."""
+        cache = self._feasible_parts
+        if cache is None:
+            cache = self._feasible_parts = {}
+        row = cache.get(part)
+        if row is None:
+            row = cache[part] = int.from_bytes(
+                np.packbits(self._part_mask(part), bitorder="little").tobytes(),
+                "little",
+            )
+        return row
+
+    def _part_mask(self, part: tuple) -> np.ndarray:
+        """Boolean per-vertex mask of one rule: ``("label", label)``,
+        ``("degree", minimum)`` or ``("needs", label, count)``."""
+        if part[0] == "degree":
+            return self.degrees_array() >= part[1]
+        if self._label_id_of is None:
+            self._label_id_of = {lbl: i for i, lbl in enumerate(self._label_table)}
+        lid = self._label_id_of.get(part[1])
+        if lid is None:
+            return np.zeros(self._order, dtype=bool)
+        if part[0] == "label":
+            return self._label_ids == lid
+        # Prefix sums of "neighbor carries the label" over the
+        # concatenated runs; a row's difference is its count.
+        hits = np.zeros(self._indices.shape[0] + 1, dtype=np.int64)
+        np.cumsum(self._label_ids[self._indices] == lid, out=hits[1:])
+        indptr = self._indptr
+        return hits[indptr[1:]] - hits[indptr[:-1]] >= part[2]
 
     def adjacency_bitmatrix(self) -> np.ndarray:
         """The packed adjacency bit matrix (cached; do not write).
@@ -494,9 +553,8 @@ class CSRGraph:
 
         Returns a :class:`CSRGraph` sharing this graph's label table;
         its vertex ``i`` is ``mapping[i]`` here (ascending, so neighbor
-        runs stay sorted).  Built by :func:`_induced_rows` — Grapes'
-        component projections and Ullmann's compact host both go
-        through it.
+        runs stay sorted).  Built by :func:`_induced_rows` — Ullmann's
+        compact host goes through it.
         """
         mapping = sorted(set(vertices))
         keep = np.asarray(mapping, dtype=np.int64)

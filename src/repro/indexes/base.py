@@ -12,9 +12,10 @@ pipeline and instruments it with the paper's four metrics:
 * **false positive ratio** per Eq. (3) (Figures 1d, 2d, 3d, 5d, 6d).
 
 Subclasses implement ``_build`` and ``_filter`` and may override
-``_verify_one`` (Grapes verifies per connected component, CT-Index uses
-its tweaked matcher ordering).  The contract tests assert the defining
-invariant: the candidate set always contains the true answer set.
+``_verifier`` (Grapes confines the search to its marked components,
+CT-Index uses its tweaked matcher ordering).  The contract tests assert
+the defining invariant: the candidate set always contains the true
+answer set.
 
 Beyond the query pipeline, every index implements the **artifact
 contract** consumed by :mod:`repro.indexes.store`: ``index_params()``
@@ -44,7 +45,7 @@ are unchanged.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from repro.graphs.dataset import DatasetDelta, GraphDataset, apply_delta
@@ -108,7 +109,8 @@ class QueryResult:
     single-graph results pickle to the six-field layout of the releases
     that also carried per-vertex domains, with ``None`` in the domains
     slot.  Both layouts load (a stored domains entry is ignored) —
-    sealed bench records stay valid both ways.
+    sealed bench records stay valid both ways.  A transactional result
+    whose every candidate verified holds one frozenset in both fields.
     """
 
     #: Filter survivors: graph ids, or anchor-vertex candidates.
@@ -337,17 +339,24 @@ class GraphIndex(ABC):
         """
         self._require_built()
         assert self._dataset is not None
+        contains = self._verifier(query)
         answers = set()
         for graph_id in candidates:
             if budget is not None:
                 budget.check()
-            if self._verify_one(query, self._dataset[graph_id], budget):
+            if contains(graph_id, budget):
                 answers.add(graph_id)
         return answers
 
-    def _verify_one(self, query: Graph, graph: Graph, budget: Budget | None) -> bool:
-        """Default verification: stock VF2, first match."""
-        return SubgraphMatcher(query, graph, budget=budget).exists()
+    def _verifier(self, query: Graph) -> Callable[[int, Budget | None], bool]:
+        """The containment test one :meth:`verify` call applies to each
+        candidate graph id; default: stock VF2 over the whole graph,
+        first match.  Whatever it memoizes lives for that call only."""
+        dataset = self._dataset
+        assert dataset is not None
+        return lambda graph_id, budget: SubgraphMatcher(
+            query, dataset[graph_id], budget=budget
+        ).exists()
 
     # ------------------------------------------------------------------
     # stage (b'): single-graph filtering — per-vertex candidate domains
@@ -461,9 +470,14 @@ class GraphIndex(ABC):
             candidates = self.filter(query, budget)
         with Timer() as verify_timer:
             answers = self.verify(query, candidates, budget)
+        candidates = frozenset(candidates)
         return QueryResult(
-            candidates=frozenset(candidates),
-            answers=frozenset(answers),
+            candidates=candidates,
+            # answers ⊆ candidates: when every candidate verified (most
+            # queries on dense data), one immutable set serves both.
+            answers=candidates
+            if len(answers) == len(candidates)
+            else frozenset(answers),
             filter_seconds=filter_timer.elapsed,
             verify_seconds=verify_timer.elapsed,
         )

@@ -37,6 +37,8 @@ exact code.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from repro.canonical.cycles import cycle_canonical
 from repro.canonical.trees import tree_canonical
 from repro.features.cycles import enumerate_simple_cycles
@@ -44,8 +46,8 @@ from repro.features.trees import enumerate_trees
 from repro.graphs.dataset import GraphDataset
 from repro.graphs.graph import Graph
 from repro.indexes.base import GraphIndex
-from repro.isomorphism.heuristics import frequency_degree_order
-from repro.isomorphism.vf2 import SubgraphMatcher
+from repro.isomorphism.heuristics import frequency_degree_order, frequency_ranks
+from repro.isomorphism.vf2 import MatchPlan, SubgraphMatcher, match_plan
 from repro.utils.bitset import Bitset
 from repro.utils.budget import Budget
 from repro.utils.hashing import hash_positions
@@ -135,12 +137,28 @@ class CTIndex(GraphIndex):
             if fingerprint.contains(query_fingerprint)
         }
 
-    def _verify_one(self, query: Graph, graph: Graph, budget: Budget | None) -> bool:
-        """The 'modified VF2': rare-label, high-degree vertices first."""
-        matcher = SubgraphMatcher(
-            query, graph, ordering=frequency_degree_order, budget=budget
-        )
-        return matcher.exists()
+    def _verifier(self, query: Graph) -> Callable[[int, Budget | None], bool]:
+        """The 'modified VF2': rare-label, high-degree vertices first.
+
+        That order reads a data graph only through the relative order
+        of the query labels' frequencies in it, so candidates with the
+        same :func:`frequency_ranks` share one plan — memoized for this
+        verify call only, never retained past the query.
+        """
+        dataset = self._dataset
+        assert dataset is not None
+        labels = tuple(query.label_histogram())
+        plans: dict[tuple[int, ...], MatchPlan] = {}
+
+        def contains(graph_id: int, budget: Budget | None) -> bool:
+            graph = dataset[graph_id]
+            ranks = frequency_ranks(labels, graph)
+            plan = plans.get(ranks)
+            if plan is None:
+                plan = plans[ranks] = match_plan(query, graph, frequency_degree_order)
+            return SubgraphMatcher.with_plan(plan, query, graph, budget).exists()
+
+        return contains
 
     def _size_payload(self) -> object:
         # The index proper is the fingerprint array; the position cache

@@ -17,9 +17,14 @@ that this class reproduces:
    speedup is platform-dependent; see DESIGN.md.)
 3. **Component-wise verification** — filtering projects each surviving
    graph onto the vertices that start matched query features, splits
-   that projection into connected components, and verification tests
-   the query against each sufficiently large component (in parallel)
-   rather than the whole graph.
+   that projection into connected components, and keeps the components
+   offering enough vertices of every query label.  The original tests
+   the query against each such component on its own thread; here the
+   viable components are one bit mask per graph and verification is a
+   single VF2 search confined to that mask.  The two are equivalent:
+   the query is connected and no edge joins two components, so every
+   embedding inside the mask lies inside one component — and CPython
+   threads would serialize the per-component searches anyway.
 
 Soundness of the projection: with single-vertex features included,
 every vertex in an embedding image starts at least one matched feature
@@ -36,21 +41,24 @@ up to ``max_path_edges`` edges, with per-graph location information.
 Known deviations: construction parallelism uses a Python thread pool,
 so on CPython the disjoint-trie structure is preserved but CPU-bound
 speedup is platform-dependent (the original is native multi-core);
-disconnected queries skip component-wise verification and test the
-whole graph; the trie is pure Python rather than the original's C++
-structures.
+verification searches all viable components of a graph at once rather
+than one thread per component; disconnected queries skip
+component-wise verification and test the whole graph; the trie is pure
+Python rather than the original's C++ structures.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.features.paths import path_features
+from repro.graphs.csr import as_core_query
 from repro.graphs.dataset import DatasetDelta, GraphDataset, removal_remap
 from repro.graphs.graph import Graph
 from repro.indexes.base import GraphIndex
 from repro.indexes.pathtrie import PathTrie
-from repro.isomorphism.vf2 import SubgraphMatcher
+from repro.isomorphism.vf2 import SubgraphMatcher, match_plan
 from repro.utils.budget import Budget
 
 __all__ = ["GrapesIndex"]
@@ -64,8 +72,7 @@ class GrapesIndex(GraphIndex):
     max_path_edges:
         Maximum feature size in edges (paper setting: 4).
     workers:
-        Worker-pool width for parallel build and verification (paper
-        setting: 6).
+        Worker-pool width for the parallel build (paper setting: 6).
     """
 
     name = "grapes"
@@ -79,12 +86,12 @@ class GrapesIndex(GraphIndex):
         self.max_path_edges = max_path_edges
         self.workers = workers
         self._trie = PathTrie(keep_locations=True)
-        #: graph id -> marked components, computed by the last filter().
-        #: Guarded by the query's identity: verification for any other
-        #: query must not reuse another query's projections (that would
-        #: drop true answers).
-        self._components_cache: dict[int, list[set[int]]] = {}
-        self._components_query: Graph | None = None
+        #: graph id -> union of its viable marked components as a bit
+        #: row, computed by the last filter().  Guarded by the query's
+        #: identity: verification for any other query must not reuse
+        #: another query's masks (that would drop true answers).
+        self._masks: dict[int, int] = {}
+        self._masks_query: Graph | None = None
 
     # ------------------------------------------------------------------
     # build
@@ -160,8 +167,8 @@ class GrapesIndex(GraphIndex):
                 self._trie.insert(
                     canonical, graph_id, occurrences.count, occurrences.starts
                 )
-        self._components_cache = {}
-        self._components_query = None
+        self._masks = {}
+        self._masks_query = None
         return {
             "trie_nodes": self._trie.node_count(),
             "features": self._trie.num_features,
@@ -175,8 +182,8 @@ class GrapesIndex(GraphIndex):
 
     def _filter(self, query: Graph, budget: Budget | None) -> set[int]:
         assert self._dataset is not None
-        self._components_cache = {}
-        self._components_query = query
+        self._masks = {}
+        self._masks_query = query
         query_paths = path_features(query, self.max_path_edges, budget=budget)
 
         # Stage 1: occurrence-count dominance, as in GGSX.
@@ -212,93 +219,39 @@ class GrapesIndex(GraphIndex):
                 if graph_id in marked:
                     marked[graph_id].update(starts)
 
-        survivors = set()
-        query_labels = query.label_histogram()
+        needs = list(query.label_histogram().items())
         for graph_id in candidates:
-            components = self._marked_components(graph_id, marked[graph_id])
-            viable = [
-                component
-                for component in components
-                if _labels_dominate(
-                    self._dataset[graph_id], component, query_labels
-                )
-            ]
-            if viable:
-                survivors.add(graph_id)
-                self._components_cache[graph_id] = viable
-        return survivors
-
-    def _marked_components(self, graph_id: int, marked: set[int]) -> list[set[int]]:
-        """Connected components of the graph's projection onto *marked*."""
-        assert self._dataset is not None
-        graph = self._dataset[graph_id]
-        components: list[set[int]] = []
-        unvisited = set(marked)
-        while unvisited:
-            start = unvisited.pop()
-            component = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for w in graph.neighbors(v):
-                    if w in unvisited:
-                        unvisited.discard(w)
-                        component.add(w)
-                        stack.append(w)
-            components.append(component)
-        return components
+            mask = _viable_mask(self._dataset[graph_id], marked[graph_id], needs)
+            if mask:
+                self._masks[graph_id] = mask
+        return set(self._masks)
 
     # ------------------------------------------------------------------
-    # verify (per component, in parallel)
+    # verify (one masked search per candidate)
     # ------------------------------------------------------------------
 
-    def verify(
-        self, query: Graph, candidates: set[int], budget: Budget | None = None
-    ) -> set[int]:
-        """Test the query against each marked component of each candidate.
+    def _verifier(self, query: Graph) -> Callable[[int, Budget | None], bool]:
+        """Test the query inside the marked components of each candidate.
 
-        Components of one graph are checked concurrently (paper §3:
-        "each such component assigned to a different thread"), stopping
-        at the first match per graph.
+        The components left by :meth:`filter` are one mask per graph,
+        and a single VF2 search confined to it stands in for one search
+        per component: the query is connected and no edge joins two
+        components, so every embedding inside the mask lies inside one
+        component.  A graph the last filter did not mask (another
+        query, or a disconnected one) is searched whole.
         """
-        self._require_built()
-        assert self._dataset is not None
-        cache_valid = self._components_query is query
-        answers = set()
-        for graph_id in candidates:
-            if budget is not None:
-                budget.check()
-            graph = self._dataset[graph_id]
-            components = (
-                self._components_cache.get(graph_id) if cache_valid else None
-            )
-            if components is None or not query.is_connected():
-                if SubgraphMatcher(query, graph, budget=budget).exists():
-                    answers.add(graph_id)
-                continue
-            if self._query_in_any_component(query, graph, components, budget):
-                answers.add(graph_id)
-        return answers
+        dataset = self._dataset
+        assert dataset is not None
+        masks = self._masks if self._masks_query is query else {}
 
-    def _query_in_any_component(
-        self,
-        query: Graph,
-        graph: Graph,
-        components: list[set[int]],
-        budget: Budget | None,
-    ) -> bool:
-        large_enough = [c for c in components if len(c) >= query.order]
-        if not large_enough:
-            return False
+        def contains(graph_id: int, budget: Budget | None) -> bool:
+            graph = dataset[graph_id]
+            return SubgraphMatcher.with_plan(
+                match_plan(query, graph), query, graph, budget,
+                masks.get(graph_id, -1),
+            ).exists()
 
-        def check(component: set[int]) -> bool:
-            projection, _ = graph.induced_subgraph(component)
-            return SubgraphMatcher(query, projection, budget=budget).exists()
-
-        if len(large_enough) == 1 or self.workers == 1:
-            return any(check(component) for component in large_enough)
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            return any(pool.map(check, large_enough))
+        return contains
 
     def _size_payload(self) -> object:
         return self._trie
@@ -326,16 +279,41 @@ class GrapesIndex(GraphIndex):
         # from_canonical builds fresh dicts/sets, so several instances
         # can materialize one in-memory payload without sharing state.
         self._trie = PathTrie.from_canonical(payload)
-        # Per-query projection state never travels with the payload.
-        self._components_cache = {}
-        self._components_query = None
+        # Per-query mask state never travels with the payload.
+        self._masks = {}
+        self._masks_query = None
 
 
-def _labels_dominate(graph: Graph, component: set[int], query_labels: dict) -> bool:
-    """Cheap per-component prune: the component must offer enough
-    vertices of every label the query needs."""
-    counts: dict[object, int] = {}
-    for v in component:
-        lbl = graph.label(v)
-        counts[lbl] = counts.get(lbl, 0) + 1
-    return all(counts.get(lbl, 0) >= needed for lbl, needed in query_labels.items())
+def _viable_mask(graph: Graph, marked: set[int], needs: list) -> int:
+    """The union of the marked components that offer enough vertices
+    of every label the query needs, as one bit row of *graph*; label
+    dominance is a popcount against each label's row."""
+    core = as_core_query(graph)
+    rows = core.feasible_rows((lbl, 0, frozenset()) for lbl, _ in needs)
+    label_rows = [(row, count) for row, (_, count) in zip(rows, needs)]
+    packed = 0
+    for vertex in marked:
+        packed |= 1 << vertex
+    viable = 0
+    for component in _marked_components(core.adjacency_rows(), packed):
+        if all((component & row).bit_count() >= n for row, n in label_rows):
+            viable |= component
+    return viable
+
+
+def _marked_components(adjacency: list[int], marked: int) -> Iterator[int]:
+    """Connected components of the subgraph *marked* induces, as bit
+    rows, lowest vertex first — each grown by a bitwise frontier walk
+    over the *adjacency* rows."""
+    while marked:
+        component = frontier = marked & -marked
+        while frontier:
+            reached = 0
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                reached |= adjacency[bit.bit_length() - 1]
+            frontier = reached & marked & ~component
+            component |= frontier
+        marked &= ~component
+        yield component

@@ -16,10 +16,12 @@ Two strategies are provided:
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Sequence
+
 from repro.canonical.order import label_key
 from repro.graphs.protocol import LabeledGraph
 
-__all__ = ["connectivity_order", "frequency_degree_order"]
+__all__ = ["connectivity_order", "frequency_degree_order", "frequency_ranks"]
 
 
 def connectivity_order(
@@ -64,32 +66,42 @@ def frequency_degree_order(
     else:
         frequency = query.label_histogram()
 
-    def rank(v: int) -> tuple:
-        return (
+    rank = [
+        (
             frequency.get(query.label(v), 0),
             -query.degree(v),
             label_key(query.label(v)),
             v,
         )
+        for v in query.vertices()
+    ]
 
     ordered: list[int] = []
-    in_order = [False] * query.order
     remaining = set(query.vertices())
     while remaining:
-        start = min(remaining, key=rank)
-        ordered.append(start)
-        in_order[start] = True
-        remaining.discard(start)
-        while True:
-            frontier = [
-                w
-                for w in remaining
-                if any(in_order[u] for u in query.neighbors(w))
-            ]
-            if not frontier:
-                break
-            chosen = min(frontier, key=rank)
+        # Each component starts at its best-ranked vertex and grows by
+        # the best-ranked vertex adjacent to the ordered prefix.
+        frontier = {min(remaining, key=rank.__getitem__)}
+        while frontier:
+            chosen = min(frontier, key=rank.__getitem__)
             ordered.append(chosen)
-            in_order[chosen] = True
             remaining.discard(chosen)
+            frontier.discard(chosen)
+            frontier.update(w for w in query.neighbors(chosen) if w in remaining)
     return ordered
+
+
+def frequency_ranks(
+    labels: Sequence[Hashable], data: LabeledGraph
+) -> tuple[int, ...]:
+    """Dense ranks of *labels*' vertex counts in *data*.
+
+    All :func:`frequency_degree_order` reads from its data graph is how
+    the query labels' frequencies compare with one another, so two data
+    graphs with equal ranks for the query's labels yield the same order
+    — and the same VF2 plan.
+    """
+    histogram = data.label_histogram()
+    counts = [histogram.get(label, 0) for label in labels]
+    rank = {count: i for i, count in enumerate(sorted(set(counts)))}
+    return tuple(rank[count] for count in counts)

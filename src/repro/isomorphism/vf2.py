@@ -19,24 +19,39 @@ rules adapted to monomorphism:
   dominate the query vertex's (a cheap static refinement that CT-Index's
   tweaked matcher exploits).
 
-Matching generates candidates by intersecting the data-neighbor sets of
-the images of mapped query neighbors, so the branching factor collapses
-quickly on labeled graphs.
+The search runs on bit rows, the design of
+:mod:`repro.isomorphism.ullmann`: one Python ``int`` per data vertex
+with bit ``w`` set iff ``w`` is a neighbor
+(:meth:`~repro.graphs.csr.CSRGraph.adjacency_rows`).  The label,
+degree and neighbor-label rules depend only on the query vertex and the
+candidate, so they are packed once per data graph and
+``(label, degree, needs)`` key into a *feasible row*
+(:meth:`~repro.graphs.csr.CSRGraph.feasible_rows`, cached on the graph).
+A position's candidates are then one expression — its feasible row AND
+the adjacency rows of its mapped neighbors' images AND the free
+(unused) vertices — tried in ascending id order, and the lookahead is
+one popcount: ``(adjacency[v] & free).bit_count() >= unmapped``.  A
+caller may confine the free row to a vertex mask (Grapes' marked
+components, :meth:`SubgraphMatcher.with_plan`).
 
-Everything those rules need from the *query* — the order, each
-position's mapped anchors, label, degree, neighbor-label needs and
-unmapped-neighbor count — is a :class:`MatchPlan`, compiled once per
-admitted query (:func:`match_plan`) rather than once per (query, data)
-pair.  The search itself is the reference matcher's, candidate for
-candidate: ``tests/test_vf2.py`` pins equal embedding sequences and
-equal budget node counts against ``tests/oracles.py``.
+Everything the search needs from the *query* — the order, each
+position's mapped anchors, feasible-row key and unmapped-neighbor
+count — is a :class:`MatchPlan`, compiled once per admitted query
+(:func:`match_plan`) rather than once per (query, data) pair.
+
+``tests/oracles.py`` keeps the matcher this replaced, which intersects
+neighbor sets and checks each rule per candidate.  Asked to try
+candidates in ascending order it walks the same search tree:
+``tests/test_vf2.py`` pins equal embedding sequences and equal budget
+node counts against it, and the same embedding set against its
+set-iteration order.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
 
-from repro.graphs.csr import CSRGraph
+from repro.graphs.csr import CSRGraph, as_core_query
 from repro.graphs.protocol import LabeledGraph
 from repro.isomorphism.heuristics import connectivity_order
 from repro.utils.budget import Budget
@@ -60,36 +75,63 @@ class MatchPlan:
     """The query half of a VF2 search, compiled once per query order.
 
     Position ``i`` of the search maps query vertex ``order[i]``.
-    ``anchors[i]`` are its neighbors mapped at earlier positions (the
-    images whose adjacencies candidate generation intersects);
-    ``labels[i]`` and ``degrees[i]`` are its label and degree;
-    ``needs[i]`` is its neighbor-label multiset as ``(label, count)``
-    pairs; ``unmapped[i]`` is how many of its neighbors are still
-    unmapped when it is placed — static, because the search maps the
-    query in plan order.  ``histogram`` is the query's label histogram
-    (the global label precheck).
+    ``anchors[i]`` are the earlier *positions* holding its neighbors
+    (the images whose adjacency rows its candidates are ANDed with);
+    ``keys[i]`` is ``(label, degree, needs)`` — its label, its degree
+    and its neighbor-label multiset as a frozenset of ``(label, count)``
+    pairs — the key of its feasible row on every data graph
+    (:meth:`~repro.graphs.csr.CSRGraph.feasible_rows`); ``unmapped[i]``
+    is how many of its neighbors are still unmapped when it is placed —
+    static, because the search maps the query in plan order.
+    ``histogram`` is the query's label histogram (the global label
+    precheck).
     """
 
-    __slots__ = (
-        "order", "anchors", "labels", "degrees", "needs", "unmapped", "histogram"
-    )
+    __slots__ = ("order", "anchors", "keys", "unmapped", "histogram")
 
     def __init__(self, query: LabeledGraph, order: Sequence[int]) -> None:
         position_of = {v: i for i, v in enumerate(order)}
-        counts = query.neighbor_label_counts()
-        self.order = tuple(order)
-        self.anchors = tuple(
-            tuple(w for w in query.neighbors(v) if position_of[w] < i)
-            for i, v in enumerate(order)
+        labels = query.labels
+        anchors = []
+        keys = []
+        for i, v in enumerate(order):
+            neighbors = query.neighbors(v)
+            earlier = (position_of[w] for w in neighbors)
+            anchors.append(_shared(tuple(sorted(p for p in earlier if p < i))))
+            # The needs are counted here and dropped: nothing per
+            # vertex stays cached on the query beyond the shared keys.
+            needs: dict = {}
+            for w in neighbors:
+                needs[labels[w]] = needs.get(labels[w], 0) + 1
+            keys.append(_shared((labels[v], len(neighbors), frozenset(needs.items()))))
+        self.keys = tuple(keys)
+        self.order = _shared(tuple(order))
+        self.anchors = _shared(tuple(anchors))
+        self.unmapped = _shared(
+            tuple(key[1] - len(a) for key, a in zip(self.keys, anchors))
         )
-        self.labels = tuple(query.label(v) for v in order)
-        self.degrees = tuple(query.degree(v) for v in order)
-        self.needs = tuple(tuple(counts[v].items()) for v in order)
-        self.unmapped = tuple(
-            degree - len(anchors)
-            for degree, anchors in zip(self.degrees, self.anchors)
-        )
-        self.histogram = tuple(query.label_histogram().items())
+        self.histogram = _shared(tuple(query.label_histogram().items()))
+
+
+#: Interned plan parts (see :func:`_shared`), and the size at which the
+#: table starts over.
+_SHARED: dict = {}
+_SHARED_LIMIT = 1 << 16
+
+
+def _shared(value):
+    """The one interned object equal to *value*.
+
+    Plans of different queries mostly repeat the same keys, anchor
+    tuples and shapes, and every admitted query keeps its plan; interning
+    the parts keeps a cached plan to a few references.  The table is
+    process-wide and holds only immutable values, so sharing is a saving
+    and never a semantic: it starts over when it reaches
+    ``_SHARED_LIMIT`` entries.
+    """
+    if len(_SHARED) >= _SHARED_LIMIT:
+        _SHARED.clear()
+    return _SHARED.setdefault(value, value)
 
 
 def match_plan(
@@ -104,7 +146,7 @@ def match_plan(
     cached on it — every candidate graph, and every later request for
     the same admitted query, reuses it.  A data-dependent ordering
     (CT-Index's :func:`frequency_degree_order`) and a mutable builder
-    query get a fresh plan per pair.
+    query get a fresh plan per call.
     """
     if ordering is connectivity_order and isinstance(query, CSRGraph):
         plan = query.match_plan
@@ -127,6 +169,9 @@ class SubgraphMatcher:
     budget:
         Optional :class:`~repro.utils.budget.Budget` polled during the
         search, so runaway verifications honour the experiment limit.
+
+    :meth:`with_plan` builds one from an already compiled
+    :class:`MatchPlan`, optionally confined to a vertex mask.
     """
 
     def __init__(
@@ -136,15 +181,38 @@ class SubgraphMatcher:
         ordering: VertexOrder = connectivity_order,
         budget: Budget | None = None,
     ) -> None:
+        self._setup(match_plan(query, data, ordering), query, data, budget, -1)
+
+    @classmethod
+    def with_plan(
+        cls,
+        plan: MatchPlan,
+        query: LabeledGraph,
+        data: LabeledGraph,
+        budget: Budget | None = None,
+        mask: int = -1,
+    ) -> "SubgraphMatcher":
+        """A matcher searching *data* under *plan* (compiled for
+        *query*), mapping query vertices only into the vertices whose
+        bits *mask* sets (``-1``: every vertex)."""
+        matcher = cls.__new__(cls)
+        matcher._setup(plan, query, data, budget, mask)
+        return matcher
+
+    def _setup(
+        self,
+        plan: MatchPlan,
+        query: LabeledGraph,
+        data: LabeledGraph,
+        budget: Budget | None,
+        mask: int,
+    ) -> None:
         self.query = query
         self.data = data
         self._budget = budget
         self._nodes_visited = 0
-        self._plan = match_plan(query, data, ordering)
-        # A CSRGraph amortizes these across every matcher built on the
-        # same data graph; a builder Graph recomputes them per pair.
-        self._data_labels = data.labels
-        self._data_neighbor_labels = data.neighbor_label_counts()
+        self._plan = plan
+        self._mask = mask
 
     # ------------------------------------------------------------------
     # public API
@@ -156,9 +224,42 @@ class SubgraphMatcher:
         This mirrors the benchmarked configuration: the paper patched
         Grapes so that *all* systems stop at the first match (§4.1).
         """
-        for _ in self.iter_embeddings():
+        if self.query.order == 0:
             return True
-        return False
+        prepared = self._prepare()
+        if prepared is None:
+            return False
+        adjacency, feasible, free = prepared
+        anchors, unmapped = self._plan.anchors, self._plan.unmapped
+        last = len(feasible) - 1
+        images = [0] * len(feasible)
+        budget = self._budget
+
+        def search(position: int, free: int) -> bool:
+            if budget is not None:
+                self._nodes_visited += 1
+                if self._nodes_visited % _BUDGET_POLL_INTERVAL == 0:
+                    budget.check()
+            row = feasible[position] & free
+            for anchor in anchors[position]:
+                row &= adjacency[images[anchor]]
+            need = unmapped[position]
+            while row:
+                bit = row & -row
+                row ^= bit
+                vertex = bit.bit_length() - 1
+                # Lookahead: unmapped query neighbors need distinct
+                # free slots around the image.
+                if need and (adjacency[vertex] & free).bit_count() < need:
+                    continue
+                if position == last:
+                    return True
+                images[position] = vertex
+                if search(position + 1, free ^ bit):
+                    return True
+            return False
+
+        return search(0, free)
 
     def first(self) -> dict[int, int] | None:
         """The first embedding found, or ``None``."""
@@ -180,93 +281,59 @@ class SubgraphMatcher:
         if self.query.order == 0:
             yield {}
             return
-        if self.query.order > self.data.order or self.query.size > self.data.size:
+        prepared = self._prepare()
+        if prepared is None:
             return
-        if not self._labels_compatible():
-            return
-        mapping: dict[int, int] = {}
-        used: set[int] = set()
-        yield from self._search(0, mapping, used)
+        adjacency, feasible, free = prepared
+        plan = self._plan
+        order, anchors, unmapped = plan.order, plan.anchors, plan.unmapped
+        images = [0] * len(feasible)
+        budget = self._budget
+
+        def search(position: int, free: int) -> Iterator[dict[int, int]]:
+            if position == len(images):
+                yield dict(zip(order, images))
+                return
+            if budget is not None:
+                self._nodes_visited += 1
+                if self._nodes_visited % _BUDGET_POLL_INTERVAL == 0:
+                    budget.check()
+            row = feasible[position] & free
+            for anchor in anchors[position]:
+                row &= adjacency[images[anchor]]
+            need = unmapped[position]
+            while row:
+                bit = row & -row
+                row ^= bit
+                vertex = bit.bit_length() - 1
+                if need and (adjacency[vertex] & free).bit_count() < need:
+                    continue
+                images[position] = vertex
+                yield from search(position + 1, free ^ bit)
+
+        yield from search(0, free)
 
     # ------------------------------------------------------------------
-    # search
+    # search set-up
     # ------------------------------------------------------------------
 
-    def _search(
-        self, position: int, mapping: dict[int, int], used: set[int]
-    ) -> Iterator[dict[int, int]]:
-        plan = self._plan
-        if position == len(plan.order):
-            yield dict(mapping)
-            return
-        self._poll_budget()
-
-        q_vertex = plan.order[position]
-        for d_vertex in self._candidates(position, mapping):
-            if d_vertex in used:
-                continue
-            if not self._feasible(position, d_vertex, used):
-                continue
-            mapping[q_vertex] = d_vertex
-            used.add(d_vertex)
-            yield from self._search(position + 1, mapping, used)
-            del mapping[q_vertex]
-            used.discard(d_vertex)
-
-    def _candidates(self, position: int, mapping: dict[int, int]):
-        plan = self._plan
-        anchors = plan.anchors[position]
-        if not anchors:
-            # New component root: any data vertex with the right label
-            # and enough degree (vertices dropped here would fail
-            # _feasible's degree rule anyway).
-            return self.data.candidate_vertices(
-                plan.labels[position], plan.degrees[position]
-            )
-        # Intersect the data adjacencies of the mapped anchor images,
-        # starting from the smallest to keep the working set tiny.
-        neighbor_sets = sorted(
-            (self.data.neighbor_set(mapping[w]) for w in anchors), key=len
-        )
-        candidates = set(neighbor_sets[0])
-        for neighbor_set in neighbor_sets[1:]:
-            candidates &= neighbor_set
-            if not candidates:
-                break
-        return candidates
-
-    def _feasible(self, position: int, d_vertex: int, used: set[int]) -> bool:
-        plan = self._plan
-        if plan.labels[position] != self._data_labels[d_vertex]:
-            return False
-        d_neighbors = self.data.neighbors(d_vertex)
-        if plan.degrees[position] > len(d_neighbors):
-            return False
-        # Lookahead: unmapped query neighbors need distinct unused slots.
-        unmapped = plan.unmapped[position]
-        if unmapped and unmapped > sum(1 for x in d_neighbors if x not in used):
-            return False
-        # Neighbor-label dominance.
-        d_counts = self._data_neighbor_labels[d_vertex]
-        for lbl, needed in plan.needs[position]:
-            if d_counts.get(lbl, 0) < needed:
-                return False
-        return True
-
-    def _labels_compatible(self) -> bool:
-        """Global precheck: per-label vertex counts must dominate."""
-        data_histogram = self.data.label_histogram()
+    def _prepare(self) -> tuple[list[int], list[int], int] | None:
+        """The host's adjacency rows, each plan position's feasible row
+        and the initial free row (the mask), or ``None`` when a global
+        precheck already rules every embedding out."""
+        query, data = self.query, self.data
+        if query.order > data.order or query.size > data.size:
+            return None
+        data_histogram = data.label_histogram()
         for lbl, needed in self._plan.histogram:
             if data_histogram.get(lbl, 0) < needed:
-                return False
-        return True
-
-    def _poll_budget(self) -> None:
-        if self._budget is None:
-            return
-        self._nodes_visited += 1
-        if self._nodes_visited % _BUDGET_POLL_INTERVAL == 0:
-            self._budget.check()
+                return None
+        host = as_core_query(data)
+        return (
+            host.adjacency_rows(),
+            host.feasible_rows(self._plan.keys),
+            self._mask & ((1 << host.order) - 1),
+        )
 
 
 # ----------------------------------------------------------------------

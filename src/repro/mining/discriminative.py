@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.canonical.order import label_key
+from repro.graphs.csr import CSRGraph, as_core_query
 from repro.isomorphism.vf2 import is_subgraph
 from repro.mining.gspan import MinedPattern
 from repro.utils.budget import Budget
@@ -61,16 +62,20 @@ def select_discriminative(
         key=lambda pattern: (pattern.size, _code_key(pattern.code)),
     )
     selected: list[MinedPattern] = []
+    # Selected graphs are admitted once, so each caches its VF2 plan and
+    # every later subfeature test against it reuses that plan.
+    selected_graphs: list[CSRGraph] = []
     selected_supports: list[set[int]] = []
     for pattern in ordered:
         if budget is not None:
             budget.check()
         support = pattern.support_set()
         candidate_pool = _subfeature_intersection(
-            pattern, support, selected, selected_supports, num_graphs
+            pattern, support, selected_graphs, selected_supports, num_graphs
         )
         if candidate_pool >= gamma * len(support):
             selected.append(pattern)
+            selected_graphs.append(as_core_query(pattern.graph))
             selected_supports.append(support)
     return selected
 
@@ -78,12 +83,13 @@ def select_discriminative(
 def _subfeature_intersection(
     pattern: MinedPattern,
     support: set[int],
-    selected: list[MinedPattern],
+    selected: list[CSRGraph],
     selected_supports: list[set[int]],
     num_graphs: int,
 ) -> int:
     """Size of ``∩ D(f')`` over indexed subfeatures ``f'`` of *pattern*."""
     intersection: set[int] | None = None
+    host: CSRGraph | None = None
     for candidate, candidate_support in zip(selected, selected_supports):
         if candidate.size >= pattern.size:
             continue
@@ -91,7 +97,10 @@ def _subfeature_intersection(
             continue  # a subfeature's support is never smaller
         if not support <= candidate_support:
             continue  # same necessary condition, element-wise
-        if not is_subgraph(candidate.graph, pattern.graph):
+        if host is None:
+            # Admitted once: its rows serve every candidate tested here.
+            host = as_core_query(pattern.graph)
+        if not is_subgraph(candidate, host):
             continue
         intersection = (
             set(candidate_support)

@@ -4,10 +4,12 @@ These are the straightforward versions of algorithms whose shipped
 implementations are array kernels or compiled plans: the recursive
 feature walks written against the graph protocol (``neighbors()``
 tuples, one ``label()`` call per visit), Ullmann's search over
-``set[int]`` domains, and VF2 recomputing its query-side structures per
-(query, data) pair.  They are kept verbatim from when they were the
-production code, so every parity property pins the shipped code to an
-independently readable definition:
+``set[int]`` domains, VF2 recomputing its query-side structures per
+(query, data) pair and intersecting neighbor sets, and Grapes' filter
+and verification over per-component projections.  They are kept
+verbatim from when they were the production code, so every parity
+property pins the shipped code to an independently readable
+definition:
 
 * ``tests/test_feature_kernels.py`` — same features, counts, start
   sets, dict insertion order and yield order as the walks on the same
@@ -16,7 +18,12 @@ independently readable definition:
   (node counts, hence budget poll schedules) as the set engine, over
   the whole graph and over a compact host;
 * ``tests/test_vf2.py`` — the same embeddings in the same order, and
-  the same node counts, as :class:`ReferenceMatcher`;
+  the same node counts, as :class:`ReferenceMatcher` trying candidates
+  in ascending order (and the same embedding *set* as its set-order
+  search);
+* ``tests/test_grapes_masks.py`` — Grapes' bit-row components, masked
+  search and filter survivors equal the component-set projection path
+  (:func:`projection_filter`, :func:`projection_contains`);
 * ``tests/test_regimes.py`` — single-graph answers equal
   :func:`reference_embedding_roots`, which never sees an index, a
   domain or a compact host.
@@ -42,19 +49,22 @@ from repro.core.runner import (
     SizeStats,
     make_method,
 )
-from repro.features.paths import PathOccurrences
+from repro.features.paths import PathOccurrences, path_features
 from repro.graphs.csr import as_core_dataset, as_core_query
 from repro.graphs.protocol import LabeledGraph
 from repro.isomorphism import ullmann
 from repro.isomorphism.decompose import embedding_root
 from repro.isomorphism.heuristics import connectivity_order
 from repro.isomorphism.ullmann import _initial_candidates
-from repro.isomorphism.vf2 import _BUDGET_POLL_INTERVAL, VertexOrder
+from repro.isomorphism.vf2 import _BUDGET_POLL_INTERVAL, SubgraphMatcher, VertexOrder
 from repro.utils.budget import Budget, BudgetExceeded, MemoryBudgetExceeded
 
 __all__ = [
     "ReferenceMatcher",
     "SetDomainState",
+    "projection_components",
+    "projection_contains",
+    "projection_filter",
     "reference_cell",
     "reference_embedding_roots",
     "set_ullmann_is_subgraph",
@@ -304,6 +314,11 @@ class ReferenceMatcher:
     budget:
         Optional :class:`~repro.utils.budget.Budget` polled during the
         search, so runaway verifications honour the experiment limit.
+    sorted_candidates:
+        Try each position's candidates in ascending id order, as the
+        shipped bit-row engine does, instead of the iteration order of
+        the intersected neighbor sets.  Same feasibility rules, so the
+        sorted mode explores exactly the shipped engine's search tree.
     """
 
     def __init__(
@@ -312,10 +327,12 @@ class ReferenceMatcher:
         data: LabeledGraph,
         ordering: VertexOrder = connectivity_order,
         budget: Budget | None = None,
+        sorted_candidates: bool = False,
     ) -> None:
         self.query = query
         self.data = data
         self._budget = budget
+        self._sorted = sorted_candidates
         self._nodes_visited = 0
         self._order = ordering(query, data)
         # Earlier-mapped neighbors per position, so candidate generation
@@ -327,8 +344,7 @@ class ReferenceMatcher:
         ]
         self._query_neighbor_labels = query.neighbor_label_counts()
         # A CSRGraph amortizes these across every matcher built on the
-        # same data graph; a builder Graph (Grapes' component
-        # projections) recomputes them per pair.
+        # same data graph; a builder Graph recomputes them per pair.
         self._data_neighbor_labels = data.neighbor_label_counts()
 
     # ------------------------------------------------------------------
@@ -417,7 +433,7 @@ class ReferenceMatcher:
             candidates &= neighbor_set
             if not candidates:
                 break
-        return candidates
+        return sorted(candidates) if self._sorted else candidates
 
     def _feasible(
         self, q_vertex: int, d_vertex: int, mapping: dict[int, int], used: set[int]
@@ -458,6 +474,88 @@ class ReferenceMatcher:
         self._nodes_visited += 1
         if self._nodes_visited % _BUDGET_POLL_INTERVAL == 0:
             self._budget.check()
+
+
+# ----------------------------------------------------------------------
+# Grapes' component projections (reference for repro.indexes.grapes)
+# ----------------------------------------------------------------------
+
+
+def projection_components(graph, marked: set[int]) -> list[set[int]]:
+    """Connected components of *graph*'s projection onto *marked*."""
+    components: list[set[int]] = []
+    unvisited = set(marked)
+    while unvisited:
+        start = unvisited.pop()
+        component = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in graph.neighbors(v):
+                if w in unvisited:
+                    unvisited.discard(w)
+                    component.add(w)
+                    stack.append(w)
+        components.append(component)
+    return components
+
+
+def projection_filter(index, query) -> dict[int, list[set[int]]]:
+    """Grapes' filter over component sets: each survivor's id mapped to
+    its viable marked components (empty lists for a disconnected query,
+    which skips the location stage)."""
+    query_paths = path_features(query, index.max_path_edges)
+    candidates: set[int] | None = None
+    matched_nodes = []
+    for canonical, occurrences in query_paths.items():
+        node = index._trie.lookup(canonical)
+        if node is None:
+            return {}
+        matched_nodes.append(node)
+        matching = {
+            graph_id
+            for graph_id, count in node.counts.items()
+            if count >= occurrences.count
+        }
+        candidates = matching if candidates is None else candidates & matching
+        if not candidates:
+            return {}
+    if candidates is None:
+        candidates = index._dataset.all_ids()
+    if not query.is_connected():
+        return {graph_id: [] for graph_id in candidates}
+    marked: dict[int, set[int]] = {graph_id: set() for graph_id in candidates}
+    for node in matched_nodes:
+        for graph_id, starts in node.starts.items():
+            if graph_id in marked:
+                marked[graph_id].update(starts)
+    needed = query.label_histogram()
+    survivors: dict[int, list[set[int]]] = {}
+    for graph_id in candidates:
+        graph = index._dataset[graph_id]
+        viable = []
+        for component in projection_components(graph, marked[graph_id]):
+            counts: dict = {}
+            for v in component:
+                counts[graph.label(v)] = counts.get(graph.label(v), 0) + 1
+            if all(counts.get(lbl, 0) >= n for lbl, n in needed.items()):
+                viable.append(component)
+        if viable:
+            survivors[graph_id] = viable
+    return survivors
+
+
+def projection_contains(query, graph, components: list[set[int]]) -> bool:
+    """Grapes' verification per component: VF2 on each sufficiently
+    large component's induced subgraph (the whole graph when there are
+    no components), first match wins."""
+    if not components:
+        return SubgraphMatcher(query, graph).exists()
+    return any(
+        SubgraphMatcher(query, graph.induced_subgraph(component)[0]).exists()
+        for component in components
+        if len(component) >= query.order
+    )
 
 
 # ----------------------------------------------------------------------

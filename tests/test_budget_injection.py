@@ -20,7 +20,11 @@ from repro.indexes import (
     GrapesIndex,
     TreeDeltaIndex,
 )
+from repro.graphs.csr import as_core_dataset, as_core_query
+from repro.isomorphism import vf2
 from repro.utils.budget import Budget, BudgetExceeded
+
+from testkit import CountdownBudget
 
 FACTORIES = {
     "ggsx": lambda: GraphGrepSXIndex(max_path_edges=3),
@@ -98,3 +102,29 @@ class TestMidBuildExpiry:
         }[name]
         with pytest.raises(BudgetExceeded):
             factory().build(dense, budget=Budget(0.005))
+
+
+@pytest.mark.parametrize("name", ["ggsx", "grapes", "ctindex"])
+def test_budget_expiring_mid_vf2_raises(name, dataset, monkeypatch):
+    """Every poll of a transactional query — per filter step, per
+    candidate graph, and per node inside each VF2 search — is a point
+    where the budget can run out, and each must raise out of query()
+    rather than return the answers verified so far."""
+    core = as_core_dataset(dataset)
+    index = FACTORIES[name]()
+    index.build(core)
+    queries = [
+        as_core_query(query) for query in generate_queries(dataset, 6, 5, seed=4)
+    ]
+    query = next(q for q in queries if len(index.query(q).answers) >= 2)
+    coarse = CountdownBudget()
+    assert index.query(query, budget=coarse).answers
+    monkeypatch.setattr(vf2, "_BUDGET_POLL_INTERVAL", 1)
+    counter = CountdownBudget()
+    answers = index.query(query, budget=counter).answers
+    assert answers == index.query(query).answers
+    # Polling every node adds polls: some happen inside the searches.
+    assert counter.polls > coarse.polls
+    for left in range(1, counter.polls + 1):
+        with pytest.raises(BudgetExceeded):
+            index.query(query, budget=CountdownBudget(left))

@@ -47,6 +47,7 @@ from repro.isomorphism.decompose import embedding_root
 from repro.utils.budget import Budget, BudgetExceeded
 
 from oracles import SetDomainState, reference_embedding_roots
+from testkit import CountdownBudget
 
 INDEX_FACTORIES = {
     "naive": lambda: NaiveIndex(),
@@ -327,22 +328,6 @@ def test_single_graph_answers_match_the_whole_graph_oracle(
             assert compiled.nodes == state.nodes
 
 
-class _Countdown(Budget):
-    """A budget that runs out at its *n*-th poll, whoever polls."""
-
-    __slots__ = ("left", "polls")
-
-    def __init__(self, left: int | None = None) -> None:
-        super().__init__()
-        self.left = left
-        self.polls = 0
-
-    def check(self) -> None:
-        self.polls += 1
-        if self.left is not None and self.polls >= self.left:
-            raise BudgetExceeded(0.0, "countdown")
-
-
 @pytest.mark.parametrize("name", ["naive", "cni"])
 def test_budget_expiring_mid_verify_raises(name, built, massive_dataset, monkeypatch):
     """Every poll of a single-graph query — per root, and per node inside
@@ -365,7 +350,7 @@ def test_budget_expiring_mid_verify_raises(name, built, massive_dataset, monkeyp
         ),
     }
     for label, call in calls.items():
-        counter = _Countdown()
+        counter = CountdownBudget()
         roots = call(counter)
         if label == "query":
             roots = roots.answers
@@ -374,7 +359,7 @@ def test_budget_expiring_mid_verify_raises(name, built, massive_dataset, monkeyp
         assert counter.polls > len(domains[embedding_root(query, massive_dataset[0])])
         for left in range(1, counter.polls + 1):
             with pytest.raises(BudgetExceeded):
-                call(_Countdown(left))
+                call(CountdownBudget(left))
 
 
 def test_unknown_regime_rejected(built):

@@ -184,11 +184,14 @@ class TestBudget:
 
 
 class TestReferenceDifferential:
-    """The plan-reading matcher against ``oracles.ReferenceMatcher`` —
-    the matcher as it was before plans, recomputing the query side per
-    pair.  Same candidates in the same order means the same embeddings
-    in the same order *and* the same search tree (node counts, hence
-    budget poll schedules)."""
+    """The bit-row matcher against ``oracles.ReferenceMatcher`` — the
+    matcher as it was before plans and rows, recomputing the query side
+    per pair and intersecting neighbor sets.  In its sorted-candidate
+    mode the reference tries candidates in ascending id order, as the
+    bit rows do, so the two agree on the embedding sequence *and* the
+    search tree (node counts, hence budget poll schedules).  Its
+    original set-iteration order explores another tree, so against it
+    only the embedding set and the first-match answer are pinned."""
 
     # Hosts reach 40 vertices: sets of ids below their table size
     # iterate in sorted order, which would hide an order change.
@@ -203,15 +206,30 @@ class TestReferenceDifferential:
             for ordering in (connectivity_order, frequency_degree_order):
                 for pattern in (query, admitted):
                     reference = ReferenceMatcher(
-                        pattern, host, ordering=ordering, budget=Budget(60.0)
+                        pattern,
+                        host,
+                        ordering=ordering,
+                        budget=Budget(60.0),
+                        sorted_candidates=True,
                     )
                     matcher = SubgraphMatcher(
                         pattern, host, ordering=ordering, budget=Budget(60.0)
                     )
-                    assert list(matcher.iter_embeddings()) == list(
-                        reference.iter_embeddings()
-                    )
+                    embeddings = list(matcher.iter_embeddings())
+                    assert embeddings == list(reference.iter_embeddings())
                     assert matcher._nodes_visited == reference._nodes_visited
+                    unsorted = ReferenceMatcher(pattern, host, ordering=ordering)
+                    as_set = {tuple(sorted(e.items())) for e in embeddings}
+                    assert as_set == {
+                        tuple(sorted(e.items())) for e in unsorted.iter_embeddings()
+                    }
+                    assert len(as_set) == len(embeddings)
+                    first = SubgraphMatcher(
+                        pattern, host, ordering=ordering, budget=Budget(60.0)
+                    )
+                    assert first.exists() == unsorted.exists() == bool(embeddings)
+                    # First-match mode walks a prefix of the same tree.
+                    assert first._nodes_visited <= matcher._nodes_visited
 
     def test_data_independent_plan_is_cached_on_the_admitted_query(self):
         query = CSRGraph.from_graph(path_graph("ABA"))
@@ -234,5 +252,9 @@ class TestReferenceDifferential:
         assert plan.order == (0, 1, 2, 3)
         assert plan.anchors == ((), (0,), (1,), (1,))
         assert plan.unmapped == (1, 2, 0, 0)
-        assert plan.labels == tuple("ABCD")
-        assert plan.degrees == (1, 3, 1, 1)
+        assert plan.keys == (
+            ("A", 1, frozenset({("B", 1)})),
+            ("B", 3, frozenset({("A", 1), ("C", 1), ("D", 1)})),
+            ("C", 1, frozenset({("B", 1)})),
+            ("D", 1, frozenset({("B", 1)})),
+        )

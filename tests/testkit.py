@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.graphs.graph import Graph
 from repro.indexes.naive import NaiveIndex
+from repro.utils.budget import Budget, BudgetExceeded
 
 LABELS = "ABCD"
 
@@ -166,3 +167,20 @@ class StallingIndex(NaiveIndex):
         with open(self.marker, "a", encoding="utf-8") as log:
             log.write("build\n")
         raise BudgetExceeded(0.0, "stalling build")
+
+
+class CountdownBudget(Budget):
+    """A budget that runs out at its *n*-th poll, whoever polls (never,
+    when *left* is ``None``: then it only counts the polls)."""
+
+    __slots__ = ("left", "polls")
+
+    def __init__(self, left: int | None = None) -> None:
+        super().__init__()
+        self.left = left
+        self.polls = 0
+
+    def check(self) -> None:
+        self.polls += 1
+        if self.left is not None and self.polls >= self.left:
+            raise BudgetExceeded(0.0, "countdown")
