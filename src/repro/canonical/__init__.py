@@ -14,6 +14,10 @@ non-isomorphic ones.  Each feature structure has its own algorithm:
   (:func:`~repro.canonical.dfscode.min_dfs_code`), also the backbone of
   the frequent-subgraph miner used by gIndex.
 
+:mod:`repro.canonical.shapes` plans small tree and cycle shapes once —
+class and isomorphisms onto a representative — so a caller meeting
+many occurrences computes one canonical label per labelled class.
+
 All orderings go through :func:`~repro.canonical.order.label_key`, so
 mixed label types (e.g. ints and strings) never raise comparison errors.
 """

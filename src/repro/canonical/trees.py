@@ -11,6 +11,12 @@ taking the minimum encoding over the center vertices.
 The functions here operate on a tree given as a host
 :class:`~repro.graphs.graph.Graph` plus an edge subset, so feature
 enumerators never have to materialize per-feature ``Graph`` objects.
+
+An encoding costs centre finding and a sort per level, so a caller
+that meets many occurrences of few shapes should not pay it per
+occurrence: CT-Index calls :func:`tree_canonical` once per labelled
+isomorphism class, keyed through :mod:`repro.canonical.shapes`, and
+reuses the result for every other occurrence of that class.
 """
 
 from __future__ import annotations

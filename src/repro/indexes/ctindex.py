@@ -14,6 +14,23 @@ up to 4 edges (§4.1; the original authors used 6/8, but [9] showed 4
 trades a little filtering power for much faster indexing and querying
 — our ``feature_edges`` knob reproduces exactly that ablation).
 
+Canonical forms are computed once per labelled isomorphism class, not
+once per occurrence.  Each tree occurrence is read as a *local shape*
+(every vertex named by the first position it takes in the flattened
+edge list); a shape's plan — its unlabelled class and every isomorphism
+onto the class representative (:mod:`repro.canonical.shapes`) — is
+computed the first time the shape is seen.  The occurrence's key is
+the class plus the minimum, over those isomorphisms, of its interned
+label ids in representative order; a cycle's key is the minimum of its
+label ids over rotations and reflections.  Equal keys ⇔ isomorphic
+labelled features, so one memo maps each key to the bit mask of its
+feature: a miss runs :func:`~repro.canonical.trees.tree_canonical` /
+:func:`~repro.canonical.cycles.cycle_canonical` on that occurrence and
+hashes the form with :func:`~repro.utils.hashing.hash_positions`
+exactly as a per-occurrence loop would, so bit positions — and every
+fingerprint — are unchanged.  The memo lives on the index: queries hit
+the forms the build already saw.
+
 CT-Index occupies the "complex features, exhaustive enumeration,
 fixed-size encoding" corner: smallest index by far, weakest filtering
 (hash collisions), yet competitive query times thanks to the cheap
@@ -38,8 +55,11 @@ exact code.
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import lru_cache
+from operator import itemgetter
 
 from repro.canonical.cycles import cycle_canonical
+from repro.canonical.shapes import cycle_symmetries, tree_shape_plan
 from repro.canonical.trees import tree_canonical
 from repro.features.cycles import enumerate_simple_cycles
 from repro.features.trees import enumerate_trees
@@ -53,6 +73,17 @@ from repro.utils.budget import Budget
 from repro.utils.hashing import hash_positions
 
 __all__ = ["CTIndex"]
+
+#: Entries at which a memo table (feature masks, tree plans) starts
+#: over, as :func:`repro.isomorphism.vf2._shared` does.  Keys never
+#: depend on what a reset forgot, so a reset costs recomputation only.
+_MEMO_LIMIT = 1 << 16
+
+
+@lru_cache(maxsize=None)
+def _cycle_getters(length: int) -> tuple[itemgetter, ...]:
+    """One getter per rotation and reflection of a ring of *length*."""
+    return tuple(itemgetter(*p) for p in cycle_symmetries(length))
 
 
 class CTIndex(GraphIndex):
@@ -87,29 +118,104 @@ class CTIndex(GraphIndex):
         self.feature_edges = feature_edges
         self.bits_per_feature = bits_per_feature
         self._fingerprints: list[Bitset] = []
-        self._position_cache: dict[tuple, list[int]] = {}
+        self._reset_memo()
+
+    def _reset_memo(self) -> None:
+        """Forget every memoized plan, label id and feature mask."""
+        #: ``(type, label)`` → label id, in first-seen order; typed so
+        #: that ``1``, ``1.0`` and ``True`` stay apart, as the ``repr``
+        #: the hash reads does.  This and the class table grow with the
+        #: label alphabet and the tree classes, not with occurrences, and
+        #: feature keys are built from their ids, so neither is trimmed.
+        self._label_ids: dict[tuple, int] = {}
+        #: unlabelled AHU code → class id, in first-seen order.
+        self._classes: dict[tuple, int] = {}
+        #: local tree shape → ``(class id, representative-order getters)``.
+        self._tree_plans: dict[tuple[int, ...], tuple] = {}
+        #: feature key → int mask of its fingerprint positions.
+        self._masks: dict[tuple, int] = {}
 
     # ------------------------------------------------------------------
 
     def fingerprint(self, graph: Graph, budget: Budget | None = None) -> Bitset:
         """Compute the tree+cycle fingerprint of one graph."""
-        bits = Bitset(self.fingerprint_bits)
-        for edges in enumerate_trees(graph, self.feature_edges, budget=budget):
-            self._set_bits(bits, ("T", tree_canonical(graph, edges)))
-        for cycle in enumerate_simple_cycles(graph, self.feature_edges, budget=budget):
-            labels = [graph.label(v) for v in cycle]
-            self._set_bits(bits, ("C", cycle_canonical(labels)))
-        return bits
+        return Bitset(self.fingerprint_bits, self._mask(graph, self._features(graph, budget)))
 
-    def _set_bits(self, bits: Bitset, canonical: tuple) -> None:
-        positions = self._position_cache.get(canonical)
-        if positions is None:
-            positions = hash_positions(
-                canonical, self.fingerprint_bits, self.bits_per_feature
+    def _features(self, graph: Graph, budget: Budget | None) -> dict[tuple, tuple]:
+        """Feature key → first occurrence, one entry per labelled class.
+
+        A tree's key is ``("T", class id, label ids in representative
+        order, minimised over the shape's isomorphisms)``; a cycle's is
+        ``("C", label ids minimised over rotations and reflections)``.
+        Equal keys ⇔ labelled-isomorphic features (see
+        :mod:`repro.canonical.shapes`).
+        """
+        label_ids = self._label_ids
+        ids = []
+        for label in graph.labels:
+            typed = (label.__class__, label)
+            label_id = label_ids.get(typed)
+            if label_id is None:
+                label_id = label_ids[typed] = len(label_ids)
+            ids.append(label_id)
+        vertex_id = ids.__getitem__
+
+        features: dict[tuple, tuple] = {}
+        plans = self._tree_plans
+        for edges in enumerate_trees(graph, self.feature_edges, budget=budget):
+            # The local shape names each vertex by the first position it
+            # takes in the flattened edge list; labels are read per position.
+            flat = sum(edges, ())
+            shape = tuple(map(flat.index, flat))
+            plan = plans.get(shape)
+            if plan is None:
+                plan = self._tree_plan(shape)
+            class_id, getters = plan
+            labels = tuple(map(vertex_id, flat))
+            features.setdefault(
+                ("T", class_id, min([getter(labels) for getter in getters])), edges
             )
-            self._position_cache[canonical] = positions
-        for position in positions:
-            bits.set(position)
+        for cycle in enumerate_simple_cycles(graph, self.feature_edges, budget=budget):
+            labels = tuple(map(vertex_id, cycle))
+            getters = _cycle_getters(len(cycle))
+            features.setdefault(("C", min([getter(labels) for getter in getters])), cycle)
+        return features
+
+    def _tree_plan(self, shape: tuple[int, ...]) -> tuple:
+        """Plan of a local shape: its class id and one getter per
+        isomorphism, reading an occurrence's per-position labels in
+        representative order."""
+        code, isomorphisms = tree_shape_plan(zip(shape[::2], shape[1::2]))
+        class_id = self._classes.setdefault(code, len(self._classes))
+        plans = self._tree_plans
+        if len(plans) >= _MEMO_LIMIT:
+            plans.clear()
+        plan = plans[shape] = (class_id, tuple(itemgetter(*p) for p in isomorphisms))
+        return plan
+
+    def _mask(self, graph: Graph, features: dict[tuple, tuple]) -> int:
+        """OR of the features' position masks; a miss hashes the
+        feature's canonical form exactly as the per-occurrence loop did."""
+        masks = self._masks
+        mask = 0
+        for key, occurrence in features.items():
+            feature_mask = masks.get(key)
+            if feature_mask is None:
+                if key[0] == "T":
+                    canonical = ("T", tree_canonical(graph, occurrence))
+                else:
+                    labels = [graph.label(v) for v in occurrence]
+                    canonical = ("C", cycle_canonical(labels))
+                feature_mask = 0
+                for position in hash_positions(
+                    canonical, self.fingerprint_bits, self.bits_per_feature
+                ):
+                    feature_mask |= 1 << position
+                if len(masks) >= _MEMO_LIMIT:
+                    masks.clear()
+                masks[key] = feature_mask
+            mask |= feature_mask
+        return mask
 
     # ------------------------------------------------------------------
 
@@ -117,16 +223,19 @@ class CTIndex(GraphIndex):
         self._fingerprints = []
         per_graph_bytes = self.fingerprint_bits // 8 + 64
         saturation = 0.0
+        distinct: set[tuple] = set()
         for graph in dataset:
             if budget is not None:
                 budget.check()
                 budget.check_memory(len(self._fingerprints) * per_graph_bytes)
-            fingerprint = self.fingerprint(graph, budget=budget)
+            features = self._features(graph, budget)
+            distinct.update(features)
+            fingerprint = Bitset(self.fingerprint_bits, self._mask(graph, features))
             self._fingerprints.append(fingerprint)
             saturation += fingerprint.saturation()
         return {
             "avg_saturation": saturation / len(dataset) if len(dataset) else 0.0,
-            "distinct_features": len(self._position_cache),
+            "distinct_features": len(distinct),
         }
 
     def _filter(self, query: Graph, budget: Budget | None) -> set[int]:
@@ -161,8 +270,8 @@ class CTIndex(GraphIndex):
         return contains
 
     def _size_payload(self) -> object:
-        # The index proper is the fingerprint array; the position cache
-        # is a build-time memoization, not part of the stored index.
+        # The index proper is the fingerprint array; the plans and masks
+        # are memoization, not part of the stored index.
         return self._fingerprints
 
     # -- artifact contract ---------------------------------------------
@@ -179,6 +288,6 @@ class CTIndex(GraphIndex):
 
     def _import_payload(self, payload: object) -> None:
         self._fingerprints = payload  # type: ignore[assignment]
-        # The position cache repopulates lazily as queries hash their
-        # own features; it is a memoization, not index content.
-        self._position_cache = {}
+        # The memo repopulates lazily as queries hash their own
+        # features; it is not index content.
+        self._reset_memo()

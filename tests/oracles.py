@@ -26,7 +26,10 @@ definition:
   (:func:`projection_filter`, :func:`projection_contains`);
 * ``tests/test_regimes.py`` — single-graph answers equal
   :func:`reference_embedding_roots`, which never sees an index, a
-  domain or a compact host.
+  domain or a compact host;
+* ``tests/test_ctindex_features.py`` — CT-Index fingerprints equal
+  :func:`reference_fingerprint`, which canonicalises and hashes every
+  tree and cycle occurrence on its own.
 
 :func:`reference_cell` is the straight-line measurement cell — build,
 query each size, aggregate — that was ``evaluate_method``'s body until
@@ -38,7 +41,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
+from repro.canonical.cycles import cycle_canonical
 from repro.canonical.paths import path_canonical
+from repro.canonical.trees import tree_canonical
 from repro.core.metrics import WorkloadStats
 from repro.core.runner import (
     STATUS_ERROR,
@@ -49,7 +54,9 @@ from repro.core.runner import (
     SizeStats,
     make_method,
 )
+from repro.features.cycles import enumerate_simple_cycles
 from repro.features.paths import PathOccurrences, path_features
+from repro.features.trees import enumerate_trees
 from repro.graphs.csr import as_core_dataset, as_core_query
 from repro.graphs.protocol import LabeledGraph
 from repro.isomorphism import ullmann
@@ -58,6 +65,7 @@ from repro.isomorphism.heuristics import connectivity_order
 from repro.isomorphism.ullmann import _initial_candidates
 from repro.isomorphism.vf2 import _BUDGET_POLL_INTERVAL, SubgraphMatcher, VertexOrder
 from repro.utils.budget import Budget, BudgetExceeded, MemoryBudgetExceeded
+from repro.utils.hashing import hash_positions
 
 __all__ = [
     "ReferenceMatcher",
@@ -67,6 +75,8 @@ __all__ = [
     "projection_filter",
     "reference_cell",
     "reference_embedding_roots",
+    "reference_features",
+    "reference_fingerprint",
     "set_ullmann_is_subgraph",
     "walk_edge_list",
     "walk_path_features",
@@ -169,6 +179,32 @@ def walk_edge_list(graph) -> list[tuple[int, int]]:
     """The edge list the ESU enumeration in :mod:`repro.features.trees`
     starts from, via the protocol's ``edges()`` generator."""
     return [(u, v) if u < v else (v, u) for u, v in graph.edges()]
+
+
+# ----------------------------------------------------------------------
+# per-occurrence fingerprint (reference for repro.indexes.ctindex)
+# ----------------------------------------------------------------------
+
+
+def reference_features(graph, edges: int) -> list[tuple]:
+    """``("T" | "C", canonical form)`` of every tree and cycle occurrence
+    of up to *edges* edges, each canonicalised on its own."""
+    return [
+        ("T", tree_canonical(graph, tree)) for tree in enumerate_trees(graph, edges)
+    ] + [
+        ("C", cycle_canonical([graph.label(v) for v in cycle]))
+        for cycle in enumerate_simple_cycles(graph, edges)
+    ]
+
+
+def reference_fingerprint(graph, bits: int, edges: int, per_feature: int = 1) -> int:
+    """:meth:`repro.indexes.ctindex.CTIndex.fingerprint`'s value, with
+    every occurrence's canonical form hashed on its own."""
+    value = 0
+    for canonical in reference_features(graph, edges):
+        for position in hash_positions(canonical, bits, per_feature):
+            value |= 1 << position
+    return value
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 import repro
 import repro.canonical.cycles
+import repro.canonical.shapes
 import repro.core.parallel
 import repro.canonical.paths
 import repro.core.validation
@@ -22,6 +23,7 @@ MODULES = [
     repro.graphs.graph,
     repro.canonical.paths,
     repro.canonical.cycles,
+    repro.canonical.shapes,
     repro.core.validation,
     repro.core.parallel,
     repro.utils.timing,
