@@ -43,7 +43,7 @@ import math
 import signal
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -126,7 +126,7 @@ class RequestMetrics:
         self._lock = threading.Lock()
         self._clock = clock
         self._started = clock()
-        self._latencies: list[float] = []
+        self._latencies: deque[float] = deque(maxlen=self.max_samples)
         self._requests = 0
         self._errors = 0
 
@@ -137,8 +137,6 @@ class RequestMetrics:
                 self._errors += 1
             else:
                 self._latencies.append(seconds)
-                if len(self._latencies) > self.max_samples:
-                    del self._latencies[: -self.max_samples]
 
     def snapshot(self) -> dict:
         """Current counters and latency quantiles, as a JSON-able dict."""

@@ -37,9 +37,16 @@ plus top-``m`` eigenvalues of the level-n path tree).
 
 Known deviations: graph codes are kept in a list sorted by graph
 order with binary-search skipping, standing in for the original's
-balanced search tree (same pruning, different lookup constants);
-stage-2 filtering solves the signature-dominance assignment as an
-exact bipartite matching in pure Python.
+balanced search tree (same pruning, different lookup constants).
+Both filter stages run over a signature table frozen from the sorted
+codes (every data vertex grouped by label, its counters as one
+``uint8`` row, its eigenvalues with the tolerance already added):
+stage 1 is one compare over the label-count rows, stage 2 one
+broadcast compare per distinct query label.  Candidates are those of
+the per-signature definition — the dominance relation is the same
+test on the same numbers — and Kuhn's matching runs only on graphs
+where every query vertex has at least one dominating vertex, which
+are the only graphs it could accept.
 """
 
 from __future__ import annotations
@@ -62,9 +69,18 @@ __all__ = ["GCodeIndex", "VertexSignature"]
 #: must stay small enough never to mask a genuine violation).
 _EIGEN_EPSILON = 1e-6
 
+#: Largest stack of same-size path-tree matrices handed to one
+#: ``eigvalsh`` call, in matrix entries (64 MB of float64).
+_EIGEN_STACK_ENTRIES = 1 << 23
+
 
 class VertexSignature(NamedTuple):
-    """The gCode signature of one vertex."""
+    """The gCode signature of one vertex.
+
+    *q* fits under *g* (``g`` dominates ``q``) iff ``g.label ==
+    q.label``, every counter of *q* is ``<=`` the same counter of *g*,
+    and every eigenvalue ``q_i <= g_i + _EIGEN_EPSILON``.
+    """
 
     label: object
     #: Bucketed, saturated counts of direct-neighbor labels.
@@ -75,25 +91,34 @@ class VertexSignature(NamedTuple):
     #: padded with ``-inf``.
     eigenvalues: tuple[float, ...]
 
-    def dominates(self, other: "VertexSignature") -> bool:
-        """True iff *other* (a query signature) fits under this one."""
-        if self.label != other.label:
-            return False
-        if any(q > g for q, g in zip(other.neighbor_counts, self.neighbor_counts)):
-            return False
-        if any(q > g for q, g in zip(other.tree_counts, self.tree_counts)):
-            return False
-        return all(
-            q <= g + _EIGEN_EPSILON
-            for q, g in zip(other.eigenvalues, self.eigenvalues)
-        )
-
 
 class _GraphCode(NamedTuple):
     graph_id: int
     order: int
     label_counts: tuple[int, ...]
     signatures: tuple[VertexSignature, ...]
+
+
+class _SignatureTable(NamedTuple):
+    """Every data vertex's signature as array rows, frozen from the
+    sorted graph codes.  Rows are grouped by label id (one contiguous
+    block per label, ``bounds[l]:bounds[l + 1]``) and ascend by code
+    position inside a block."""
+
+    #: Label object per label id; ids are interned with ``==``.
+    labels: list
+    label_id: dict
+    #: ``(labels + 1,)`` block boundaries over the rows.
+    bounds: np.ndarray
+    #: Code position owning each row.
+    positions: np.ndarray
+    #: ``(N, 2 * counter_buckets)`` uint8: neighbor counts, then tree
+    #: counts (saturated at 255, so uint8 is exact).
+    counters: np.ndarray
+    #: ``(N, top_eigenvalues)`` float64, ``_EIGEN_EPSILON`` added.
+    eigen_ceilings: np.ndarray
+    #: ``(G, counter_buckets)`` uint8 graph-level label counts.
+    label_counts: np.ndarray
 
 
 class GCodeIndex(GraphIndex):
@@ -130,6 +155,8 @@ class GCodeIndex(GraphIndex):
         #: Graph codes sorted by graph order (the "search tree").
         self._codes: list[_GraphCode] = []
         self._orders: list[int] = []
+        #: The filter's view of ``_codes`` (derived, never exported).
+        self._table: _SignatureTable = self._freeze([])
         #: (label_table, bucket ids); datasets share one label table,
         #: so one hash pass covers every graph.
         self._bucket_cache: tuple[object, np.ndarray] | None = None
@@ -141,84 +168,116 @@ class GCodeIndex(GraphIndex):
     def graph_code(self, graph: Graph, budget: Budget | None = None) -> _GraphCode:
         """Compute the full gCode of one graph."""
         graph = as_core_query(graph)
-        signatures = []
-        for v in graph.vertices():
-            if budget is not None and v % 64 == 0:
-                budget.check()
-            signatures.append(self.vertex_signature(graph, v))
-        label_counts = self._bucket_counts_from_ids(
-            self._bucket_array(graph), graph.label_ids_array()
-        )
+        bucket_of = self._bucket_array(graph)
+        counters, eigenvalues = self._signature_rows(graph, bucket_of, budget)
         return _GraphCode(
             graph_id=graph.graph_id if graph.graph_id is not None else -1,
             order=graph.order,
-            label_counts=label_counts,
-            signatures=tuple(signatures),
+            label_counts=self._bucket_counts_from_ids(
+                bucket_of, graph.label_ids_array()
+            ),
+            signatures=self._records(graph.labels, counters, eigenvalues),
         )
 
     def vertex_signature(self, graph: Graph, vertex: int) -> VertexSignature:
         """Signature of one vertex: counters plus path-tree spectrum."""
-        graph = as_core_query(graph)
-        neighbor_counts = self._bucket_counts_from_ids(
-            self._bucket_array(graph),
-            graph.label_ids_array()[graph.neighbors_slice(vertex)],
-        )
-        tree_labels, adjacency = self._path_tree(graph, vertex)
-        tree_counts = self._bucket_counts(tree_labels)
-        eigenvalues = self._top_eigenvalues(adjacency)
-        return VertexSignature(
-            label=graph.label(vertex),
-            neighbor_counts=neighbor_counts,
-            tree_counts=tree_counts,
-            eigenvalues=eigenvalues,
+        return self.graph_code(graph).signatures[vertex]
+
+    def _records(
+        self, labels, counters: np.ndarray, eigenvalues: np.ndarray
+    ) -> tuple[VertexSignature, ...]:
+        """Signature rows as payload records of Python ints and floats
+        (numpy scalars would change pickled artifacts).  A one-node
+        path tree's spectrum repeats one ``-inf`` object, as its record
+        always has: ``index_bytes`` counts each object once."""
+        width = self.counter_buckets
+        return tuple(
+            VertexSignature(
+                label,
+                tuple(row[:width]),
+                tuple(row[width:]),
+                tuple(top) if top[0] > -np.inf else (-float("inf"),) * len(top),
+            )
+            for label, row, top in zip(labels, counters.tolist(), eigenvalues.tolist())
         )
 
-    def _path_tree(self, graph: Graph, root: int) -> tuple[list, list[tuple[int, int]]]:
-        """The level-n path tree of *root*.
+    def _signature_rows(
+        self,
+        graph: CSRGraph,
+        bucket_of: np.ndarray,
+        budget: Budget | None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Counters ``(n, 2 * counter_buckets)`` int64 and descending
+        top eigenvalues ``(n, top_eigenvalues)`` of every vertex.
 
-        Nodes are the simple paths of length ``0..path_depth`` starting
-        at *root*; each node is labeled by its endpoint's label and
-        linked to its one-edge extensions.  Returns the node labels and
-        the tree's edge list (over node ids).
+        The level-n path tree of a root has one node per simple path of
+        length ``0..path_depth`` starting at it, labeled by the path's
+        endpoint and linked to its one-edge extensions; node 0 is the
+        root and every other node ``c`` has one parent ``< c``.
+        Counters are ``bincount`` over bucket ids, clamped at 255 —
+        counts only grow, so clamping afterwards equals refusing
+        increments past 255.  Same-size trees share one ``eigvalsh``
+        call over their stacked adjacency matrices.
         """
-        labels = [graph.label(root)]
-        edges: list[tuple[int, int]] = []
-        # Frontier entries: (node_id, path vertices as tuple).
-        frontier: list[tuple[int, tuple[int, ...]]] = [(0, (root,))]
-        for _ in range(self.path_depth):
-            next_frontier: list[tuple[int, tuple[int, ...]]] = []
-            for node_id, path in frontier:
-                tail = path[-1]
-                for w in graph.neighbors(tail):
-                    if w in path:
-                        continue
-                    child_id = len(labels)
-                    labels.append(graph.label(w))
-                    edges.append((node_id, child_id))
-                    next_frontier.append((child_id, path + (w,)))
-            frontier = next_frontier
-        return labels, edges
-
-    def _top_eigenvalues(self, edges: list[tuple[int, int]]) -> tuple[float, ...]:
-        if not edges:
-            return tuple([-float("inf")] * self.top_eigenvalues)
-        size = max(max(u, v) for u, v in edges) + 1
-        matrix = np.zeros((size, size))
-        for u, v in edges:
-            matrix[u, v] = matrix[v, u] = 1.0
-        spectrum = np.linalg.eigvalsh(matrix)[::-1]  # descending
-        top = [float(value) for value in spectrum[: self.top_eigenvalues]]
-        while len(top) < self.top_eigenvalues:
-            top.append(-float("inf"))
-        return tuple(top)
-
-    def _bucket_counts(self, labels) -> tuple[int, ...]:
-        counts = [0] * self.counter_buckets
-        for label in labels:
-            bucket = stable_hash(label) % self.counter_buckets
-            if counts[bucket] < 255:  # saturating counters keep dominance
-                counts[bucket] += 1
-        return tuple(counts)
+        width = self.counter_buckets
+        label_ids = graph.label_ids_array().tolist()
+        neighbors = [graph.neighbors(v) for v in graph.vertices()]
+        tree_rows: list[int] = []
+        tree_ids: list[int] = []
+        neighbor_rows: list[int] = []
+        neighbor_ids: list[int] = []
+        by_size: dict[int, tuple[list[int], list[list[int]]]] = {}
+        for root in graph.vertices():
+            if budget is not None and root % 64 == 0:
+                budget.check()
+            ids = [label_ids[root]]
+            parents: list[int] = []
+            frontier: list[tuple[int, tuple[int, ...]]] = [(0, (root,))]
+            for _ in range(self.path_depth):
+                next_frontier = []
+                for node, path in frontier:
+                    for w in neighbors[path[-1]]:
+                        if w in path:
+                            continue
+                        next_frontier.append((len(ids), path + (w,)))
+                        ids.append(label_ids[w])
+                        parents.append(node)
+                frontier = next_frontier
+            tree_rows.extend([root] * len(ids))
+            tree_ids.extend(ids)
+            neighbor_rows.extend([root] * len(neighbors[root]))
+            neighbor_ids.extend(label_ids[w] for w in neighbors[root])
+            if parents:
+                group = by_size.setdefault(len(ids), ([], []))
+                group[0].append(root)
+                group[1].append(parents)
+        count = graph.order
+        counters = np.empty((count, 2 * width), dtype=np.int64)
+        for offset, rows, ids in (
+            (0, neighbor_rows, neighbor_ids),
+            (width, tree_rows, tree_ids),
+        ):
+            flat = np.asarray(rows, dtype=np.int64) * width
+            if ids:
+                flat += bucket_of[ids]
+            counts = np.bincount(flat, minlength=count * width)
+            counters[:, offset : offset + width] = np.minimum(counts, 255).reshape(
+                count, width
+            )
+        eigenvalues = np.full((count, self.top_eigenvalues), -np.inf)
+        for size, (rows, parent_lists) in by_size.items():
+            top = min(size, self.top_eigenvalues)
+            step = max(1, _EIGEN_STACK_ENTRIES // (size * size))
+            for lo in range(0, len(rows), step):
+                parents = np.asarray(parent_lists[lo : lo + step], dtype=np.int64)
+                stack = np.zeros((len(parents), size, size))
+                which = np.arange(len(parents))[:, None]
+                children = np.arange(1, size)[None, :]
+                stack[which, children, parents] = 1.0
+                stack[which, parents, children] = 1.0
+                spectra = np.linalg.eigvalsh(stack)  # ascending per matrix
+                eigenvalues[rows[lo : lo + step], :top] = spectra[:, ::-1][:, :top]
+        return counters, eigenvalues
 
     def _bucket_array(self, graph: CSRGraph) -> np.ndarray:
         """Bucket id per label-table entry, cached across graphs."""
@@ -235,13 +294,7 @@ class GCodeIndex(GraphIndex):
     def _bucket_counts_from_ids(
         self, bucket_of: np.ndarray, label_ids: np.ndarray
     ) -> tuple[int, ...]:
-        """Vectorized twin of :meth:`_bucket_counts` over label ids.
-
-        ``bincount`` then clamp matches the scalar saturating loop
-        exactly: counts only grow, so clamping after the fact is the
-        same as refusing increments past 255.  Counts come back as
-        Python ints (numpy scalars would change pickled artifacts).
-        """
+        """Saturating label counter-string over label ids (Python ints)."""
         counts = np.bincount(bucket_of[label_ids], minlength=self.counter_buckets)
         return tuple(np.minimum(counts, 255).tolist())
 
@@ -261,58 +314,125 @@ class GCodeIndex(GraphIndex):
             codes.append(self.graph_code(graph, budget=budget))
             signatures_built += graph.order
         codes.sort(key=lambda code: code.order)
-        self._codes = codes
-        self._orders = [code.order for code in codes]
+        self._adopt(codes, [code.order for code in codes])
         return {"signatures": sum(code.order for code in codes)}
 
+    def _adopt(self, codes: list[_GraphCode], orders: list[int]) -> None:
+        self._codes = codes
+        self._orders = orders
+        self._table = self._freeze(codes)
+
+    def _freeze(self, codes: list[_GraphCode]) -> _SignatureTable:
+        """Derive the filter's signature table from sorted *codes*.
+
+        Labels are interned with ``==`` (a dict), the equality the
+        per-signature dominance test applies, so ``1``, ``1.0`` and
+        ``True`` share one block.
+        """
+        width = self.counter_buckets
+        label_id: dict = {}
+        labels: list = []
+        row_labels: list[int] = []
+        positions: list[int] = []
+        counters: list[bytes] = []
+        eigenvalues: list[tuple[float, ...]] = []
+        for position, code in enumerate(codes):
+            for signature in code.signatures:
+                lid = label_id.get(signature.label)
+                if lid is None:
+                    lid = label_id[signature.label] = len(labels)
+                    labels.append(signature.label)
+                row_labels.append(lid)
+                positions.append(position)
+                counters.append(
+                    bytes(signature.neighbor_counts) + bytes(signature.tree_counts)
+                )
+                eigenvalues.append(signature.eigenvalues)
+        order = np.argsort(np.asarray(row_labels, dtype=np.int64), kind="stable")
+        bounds = np.zeros(len(labels) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row_labels, minlength=len(labels)), out=bounds[1:])
+        return _SignatureTable(
+            labels=labels,
+            label_id=label_id,
+            bounds=bounds,
+            positions=np.asarray(positions, dtype=np.int64)[order],
+            counters=np.frombuffer(b"".join(counters), dtype=np.uint8).reshape(
+                -1, 2 * width
+            )[order],
+            eigen_ceilings=(
+                np.array(eigenvalues, dtype=np.float64).reshape(
+                    -1, self.top_eigenvalues
+                )[order]
+                + _EIGEN_EPSILON
+            ),
+            label_counts=np.array(
+                [code.label_counts for code in codes], dtype=np.uint8
+            ).reshape(-1, width),
+        )
+
     def _filter(self, query: Graph, budget: Budget | None) -> set[int]:
-        query_code = self.graph_code(query, budget=budget)
-        candidates = set()
+        query = as_core_query(query)
+        table = self._table
         start = bisect.bisect_left(self._orders, query.order)
-        for code in self._codes[start:]:
+        bucket_of = self._bucket_array(query)
+        query_ids = query.label_ids_array()
+        # Stage 1: graph-level label counters.
+        query_counts = self._bucket_counts_from_ids(bucket_of, query_ids)
+        covered = np.zeros(len(self._codes), dtype=bool)
+        covered[start:] = (table.label_counts[start:] >= query_counts).all(axis=1)
+        if not covered.any():
+            return set()
+        # Stage 2: per query vertex, the data vertices dominating it.
+        counters, eigenvalues = self._signature_rows(query, bucket_of, budget)
+        counters = counters.astype(np.uint8)
+        # One (code position, query vertex, table row) triple per hit.
+        hits: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for local, label in enumerate(query.label_table):
+            rows = np.flatnonzero(query_ids == local)
+            if not len(rows):
+                continue
+            lid = table.label_id.get(label)
+            if lid is None or table.labels[lid] != label:
+                return set()
+            lo, hi = table.bounds[lid], table.bounds[lid + 1]
+            hosts = lo + np.flatnonzero(covered[table.positions[lo:hi]])
+            dominated = (
+                (counters[rows, None, :] <= table.counters[hosts][None, :, :]).all(axis=2)
+                & (
+                    eigenvalues[rows, None, :] <= table.eigen_ceilings[hosts][None, :, :]
+                ).all(axis=2)
+            )
+            hit_row, hit_host = np.nonzero(dominated)
+            hit_position = table.positions[hosts[hit_host]]
+            has_host = np.zeros((len(rows), len(covered)), dtype=bool)
+            has_host[hit_row, hit_position] = True
+            covered &= has_host.all(axis=0)
+            if not covered.any():
+                return set()
+            hits.append((hit_position, rows[hit_row], hosts[hit_host]))
+        # Kuhn's matching on the covered graphs only, its adjacency
+        # lists grouped by graph.
+        positions, query_vertices, hosts = (
+            np.concatenate([hit[column] for hit in hits] or [np.empty(0, np.int64)])
+            for column in range(3)
+        )
+        keep = covered[positions]
+        by_graph = np.argsort(positions[keep], kind="stable")
+        positions = positions[keep][by_graph].tolist()
+        query_vertices = query_vertices[keep][by_graph].tolist()
+        hosts = hosts[keep][by_graph].tolist()
+        candidates = set()
+        cursor = 0
+        for position in np.flatnonzero(covered).tolist():
             if budget is not None:
                 budget.check()
-            if not _counts_dominate(query_code.label_counts, code.label_counts):
-                continue
-            if self._signatures_match(query_code.signatures, code.signatures):
-                candidates.add(code.graph_id)
+            adjacency: list[list[int]] = [[] for _ in range(query.order)]
+            while cursor < len(positions) and positions[cursor] == position:
+                adjacency[query_vertices[cursor]].append(hosts[cursor])
+                cursor += 1
+            if _saturating_matching(adjacency):
+                candidates.add(self._codes[position].graph_id)
         return candidates
-
-    def _signatures_match(
-        self,
-        query_signatures: tuple[VertexSignature, ...],
-        data_signatures: tuple[VertexSignature, ...],
-    ) -> bool:
-        """Stage-2 filter: semi-perfect matching of query signatures.
-
-        Every query vertex must claim a *distinct* data vertex whose
-        signature dominates its own (Kuhn's augmenting-path matching).
-        """
-        adjacency = []
-        for q_sig in query_signatures:
-            row = [
-                j
-                for j, g_sig in enumerate(data_signatures)
-                if g_sig.dominates(q_sig)
-            ]
-            if not row:
-                return False
-            adjacency.append(row)
-        # Try scarce query vertices first: fewer options, faster failure.
-        order = sorted(range(len(adjacency)), key=lambda i: len(adjacency[i]))
-        matched_to: dict[int, int] = {}
-
-        def try_assign(qi: int, banned: set[int]) -> bool:
-            for dj in adjacency[qi]:
-                if dj in banned:
-                    continue
-                banned.add(dj)
-                if dj not in matched_to or try_assign(matched_to[dj], banned):
-                    matched_to[dj] = qi
-                    return True
-            return False
-
-        return all(try_assign(qi, set()) for qi in order)
 
     def _size_payload(self) -> object:
         return (self._codes, self._orders)
@@ -331,9 +451,24 @@ class GCodeIndex(GraphIndex):
 
     def _import_payload(self, payload: object) -> None:
         codes, orders = payload  # type: ignore[misc]
-        self._codes = codes
-        self._orders = orders
+        self._adopt(codes, orders)
 
 
-def _counts_dominate(query_counts: tuple[int, ...], data_counts: tuple[int, ...]) -> bool:
-    return all(q <= g for q, g in zip(query_counts, data_counts))
+def _saturating_matching(adjacency: list[list[int]]) -> bool:
+    """True iff every query vertex claims a *distinct* data vertex from
+    its adjacency list (Kuhn's augmenting-path matching)."""
+    # Try scarce query vertices first: fewer options, faster failure.
+    order = sorted(range(len(adjacency)), key=lambda i: len(adjacency[i]))
+    matched_to: dict[int, int] = {}
+
+    def try_assign(qi: int, banned: set[int]) -> bool:
+        for dj in adjacency[qi]:
+            if dj in banned:
+                continue
+            banned.add(dj)
+            if dj not in matched_to or try_assign(matched_to[dj], banned):
+                matched_to[dj] = qi
+                return True
+        return False
+
+    return all(try_assign(qi, set()) for qi in order)

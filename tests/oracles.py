@@ -30,6 +30,12 @@ definition:
 * ``tests/test_ctindex_features.py`` — CT-Index fingerprints equal
   :func:`reference_fingerprint`, which canonicalises and hashes every
   tree and cycle occurrence on its own.
+* ``tests/test_gcode_table.py`` — gCode's signature records equal
+  :func:`reference_vertex_signature` (one path tree, one ``eigvalsh``
+  and one ``stable_hash`` per label at a time) and its array filter
+  equals :func:`reference_gcode_candidates`, which tests every
+  (query, data) signature pair with :func:`dominates` and runs Kuhn's
+  matching on every graph past the order bisect.
 
 :func:`reference_cell` is the straight-line measurement cell — build,
 query each size, aggregate — that was ``evaluate_method``'s body until
@@ -39,7 +45,10 @@ whole cells became one-batch cells of the batch executor;
 
 from __future__ import annotations
 
+import bisect
 from collections.abc import Iterator
+
+import numpy as np
 
 from repro.canonical.cycles import cycle_canonical
 from repro.canonical.paths import path_canonical
@@ -59,17 +68,20 @@ from repro.features.paths import PathOccurrences, path_features
 from repro.features.trees import enumerate_trees
 from repro.graphs.csr import as_core_dataset, as_core_query
 from repro.graphs.protocol import LabeledGraph
+from repro.indexes.gcode import _EIGEN_EPSILON, VertexSignature
 from repro.isomorphism import ullmann
 from repro.isomorphism.decompose import embedding_root
 from repro.isomorphism.heuristics import connectivity_order
 from repro.isomorphism.ullmann import _initial_candidates
 from repro.isomorphism.vf2 import _BUDGET_POLL_INTERVAL, SubgraphMatcher, VertexOrder
 from repro.utils.budget import Budget, BudgetExceeded, MemoryBudgetExceeded
-from repro.utils.hashing import hash_positions
+from repro.utils.hashing import hash_positions, stable_hash
 
 __all__ = [
     "ReferenceMatcher",
     "SetDomainState",
+    "counts_dominate",
+    "dominates",
     "projection_components",
     "projection_contains",
     "projection_filter",
@@ -77,7 +89,10 @@ __all__ = [
     "reference_embedding_roots",
     "reference_features",
     "reference_fingerprint",
+    "reference_gcode_candidates",
+    "reference_vertex_signature",
     "set_ullmann_is_subgraph",
+    "signatures_match",
     "walk_edge_list",
     "walk_path_features",
     "walk_simple_cycles",
@@ -592,6 +607,131 @@ def projection_contains(query, graph, components: list[set[int]]) -> bool:
         for component in components
         if len(component) >= query.order
     )
+
+
+# ----------------------------------------------------------------------
+# gCode signatures and filter (reference for repro.indexes.gcode)
+# ----------------------------------------------------------------------
+
+
+def reference_vertex_signature(index, graph, vertex: int) -> VertexSignature:
+    """gCode signature of one vertex, built one path tree at a time."""
+    graph = as_core_query(graph)
+    labels, edges = _reference_path_tree(index, graph, vertex)
+    return VertexSignature(
+        label=graph.label(vertex),
+        neighbor_counts=_reference_bucket_counts(
+            index, [graph.label(w) for w in graph.neighbors(vertex)]
+        ),
+        tree_counts=_reference_bucket_counts(index, labels),
+        eigenvalues=_reference_top_eigenvalues(index, edges),
+    )
+
+
+def _reference_path_tree(index, graph, root: int) -> tuple[list, list[tuple[int, int]]]:
+    labels = [graph.label(root)]
+    edges: list[tuple[int, int]] = []
+    # Frontier entries: (node_id, path vertices as tuple).
+    frontier: list[tuple[int, tuple[int, ...]]] = [(0, (root,))]
+    for _ in range(index.path_depth):
+        next_frontier: list[tuple[int, tuple[int, ...]]] = []
+        for node_id, path in frontier:
+            tail = path[-1]
+            for w in graph.neighbors(tail):
+                if w in path:
+                    continue
+                child_id = len(labels)
+                labels.append(graph.label(w))
+                edges.append((node_id, child_id))
+                next_frontier.append((child_id, path + (w,)))
+        frontier = next_frontier
+    return labels, edges
+
+
+def _reference_top_eigenvalues(index, edges: list[tuple[int, int]]) -> tuple[float, ...]:
+    if not edges:
+        return tuple([-float("inf")] * index.top_eigenvalues)
+    size = max(max(u, v) for u, v in edges) + 1
+    matrix = np.zeros((size, size))
+    for u, v in edges:
+        matrix[u, v] = matrix[v, u] = 1.0
+    spectrum = np.linalg.eigvalsh(matrix)[::-1]  # descending
+    top = [float(value) for value in spectrum[: index.top_eigenvalues]]
+    while len(top) < index.top_eigenvalues:
+        top.append(-float("inf"))
+    return tuple(top)
+
+
+def _reference_bucket_counts(index, labels) -> tuple[int, ...]:
+    counts = [0] * index.counter_buckets
+    for label in labels:
+        bucket = stable_hash(label) % index.counter_buckets
+        if counts[bucket] < 255:  # saturating counters keep dominance
+            counts[bucket] += 1
+    return tuple(counts)
+
+
+def dominates(data: VertexSignature, query: VertexSignature) -> bool:
+    """True iff *query* (a query signature) fits under *data*."""
+    if data.label != query.label:
+        return False
+    if any(q > g for q, g in zip(query.neighbor_counts, data.neighbor_counts)):
+        return False
+    if any(q > g for q, g in zip(query.tree_counts, data.tree_counts)):
+        return False
+    return all(
+        q <= g + _EIGEN_EPSILON for q, g in zip(query.eigenvalues, data.eigenvalues)
+    )
+
+
+def counts_dominate(query_counts: tuple[int, ...], data_counts: tuple[int, ...]) -> bool:
+    return all(q <= g for q, g in zip(query_counts, data_counts))
+
+
+def signatures_match(
+    query_signatures: tuple[VertexSignature, ...],
+    data_signatures: tuple[VertexSignature, ...],
+) -> bool:
+    """Stage-2 filter: semi-perfect matching of query signatures.
+
+    Every query vertex must claim a *distinct* data vertex whose
+    signature dominates its own (Kuhn's augmenting-path matching).
+    """
+    adjacency = []
+    for q_sig in query_signatures:
+        row = [j for j, g_sig in enumerate(data_signatures) if dominates(g_sig, q_sig)]
+        if not row:
+            return False
+        adjacency.append(row)
+    # Try scarce query vertices first: fewer options, faster failure.
+    order = sorted(range(len(adjacency)), key=lambda i: len(adjacency[i]))
+    matched_to: dict[int, int] = {}
+
+    def try_assign(qi: int, banned: set[int]) -> bool:
+        for dj in adjacency[qi]:
+            if dj in banned:
+                continue
+            banned.add(dj)
+            if dj not in matched_to or try_assign(matched_to[dj], banned):
+                matched_to[dj] = qi
+                return True
+        return False
+
+    return all(try_assign(qi, set()) for qi in order)
+
+
+def reference_gcode_candidates(index, query) -> set[int]:
+    """gCode's two-stage filter, one signature pair at a time, over the
+    built *index*'s sorted graph codes."""
+    query_code = index.graph_code(query)
+    candidates = set()
+    start = bisect.bisect_left(index._orders, query_code.order)
+    for code in index._codes[start:]:
+        if not counts_dominate(query_code.label_counts, code.label_counts):
+            continue
+        if signatures_match(query_code.signatures, code.signatures):
+            candidates.add(code.graph_id)
+    return candidates
 
 
 # ----------------------------------------------------------------------

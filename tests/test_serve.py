@@ -138,6 +138,17 @@ class TestRequestMetrics:
         assert snapshot["latency_ms"]["max"] == pytest.approx(3.0)
         assert snapshot["qps"] > 0
 
+    def test_window_keeps_the_newest_samples(self, monkeypatch):
+        monkeypatch.setattr(RequestMetrics, "max_samples", 3)
+        metrics = RequestMetrics()
+        for ms in (50.0, 40.0, 1.0, 2.0, 3.0):
+            metrics.record(ms / 1e3)
+        snapshot = metrics.snapshot()
+        assert snapshot["requests"] == 5
+        assert snapshot["latency_ms"]["q50"] == pytest.approx(2.0)
+        assert snapshot["latency_ms"]["max"] == pytest.approx(3.0)
+        assert snapshot["latency_ms"]["mean"] == pytest.approx(2.0)
+
     def test_concurrent_recording_loses_nothing(self):
         metrics = RequestMetrics()
         threads = [

@@ -22,6 +22,8 @@ from repro.indexes.gcode import GCodeIndex
 from repro.isomorphism.vf2 import find_embedding
 from repro.graphs.graph import Graph
 
+from oracles import dominates
+
 
 @st.composite
 def containment_pair(draw):
@@ -97,7 +99,7 @@ def test_gcode_signature_dominance_along_embedding(pair):
     for q_vertex, d_vertex in embedding.items():
         q_sig = index.vertex_signature(query, q_vertex)
         d_sig = index.vertex_signature(data, d_vertex)
-        assert d_sig.dominates(q_sig), (
+        assert dominates(d_sig, q_sig), (
             f"signature dominance violated at {q_vertex}->{d_vertex}"
         )
 
